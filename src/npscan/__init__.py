@@ -8,6 +8,8 @@ anywhere in a computed value.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .cyclotomic import CycInt, pi_valuation, zeta_power
 from .curvezeta import (
     count_curve_points,
@@ -83,4 +85,8 @@ from .scan import (
     validate_record,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules themselves; export only the names
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -304,10 +304,7 @@ def cmd_crosscheck(args) -> int:
                 chi = Character(p, 1)
                 for m in (1, n):
                     # the collapse needs D_n(x, a) to permute F_{p^m}
-                    field = build_field(p, m)
-                    num = field.element(a.numerator % p)
-                    den = field.element(a.denominator % p)
-                    am = num * den ** (field.q - 2)
+                    am = build_field(p, m).element(ratpoly.mod_p(a, p))
                     if not dickson_perm_criterion(n, am):
                         continue
                     if exp_sum(f1bar, m, chi, budget) != exp_sum(gbar, m, chi, budget):
@@ -355,29 +352,15 @@ def cmd_dickson_perm(args) -> int:
     n = args.n
     a = Fraction(args.a)
     field = build_field(args.p, args.e)
-    if a.denominator % args.p == 0:
-        raise ValueError(f"a = {a} is not {args.p}-integral")
-    abar = field.element(a.numerator % args.p) * field.element(a.denominator % args.p) ** (field.q - 2)
-    permutes = dickson_perm_criterion(n, abar)
+    permutes = dickson_perm_criterion(n, field.element(ratpoly.mod_p(a, args.p)))
     out = {"n": n, "a": str(a), "q": field.q, "permutes": permutes, "bruteforce": None}
     if args.brute:
-        from .fields import FieldPolynomial
-
-        gbar = FieldPolynomial(field, [field.element(int(c)) for c in _int_coeffs(dickson(n, a), args.p)])
+        gbar = field.poly([ratpoly.mod_p(c, args.p) for c in dickson(n, a)])
         out["bruteforce"] = is_permutation_bruteforce(gbar)
         if out["bruteforce"] != permutes:
             raise InvariantViolation("criterion and brute force disagree")
     print(json.dumps(out))
     return 0
-
-
-def _int_coeffs(f: ratpoly.QPoly, p: int) -> list[int]:
-    out = []
-    for c in f:
-        if c.denominator % p == 0:
-            raise ValueError(f"coefficient {c} is not {p}-integral")
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return out
 
 
 def cmd_decompose(args) -> int:
@@ -394,10 +377,7 @@ def cmd_decompose(args) -> int:
 def cmd_zeta(args) -> int:
     g = parse_poly(args.poly)
     field = build_field(args.p, args.e)
-    ints = _int_coeffs(g, args.p)
-    from .fields import FieldPolynomial
-
-    gbar = FieldPolynomial(field, [field.element(c) for c in ints])
+    gbar = field.poly([ratpoly.mod_p(c, args.p) for c in g])
     b = p1_polynomial(gbar, args.budget)
     genus = (args.p - 1) * (ratpoly.degree(ratpoly.as_poly(g)) - 1) // 2
     print(json.dumps({

@@ -19,11 +19,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratpoly
-from .cyclotomic import CycInt, as_rational_integer
+from .cyclotomic import CycInt, as_rational_integer, int_valuation
 from .errors import DegreeCharClash, InternalDivisibility
 from .fields import FieldPolynomial, check_enum_budget
 from .lfunction import Character, l_polynomial, newton_polygon, trace_counts
-from .polygons import ConvexPolygon, lower_hull, slope_multiset
+from .polygons import ConvexPolygon, lower_hull
 
 
 def count_curve_points(gbar: FieldPolynomial, m: int, budget: int | None = None) -> int:
@@ -36,14 +36,6 @@ def count_curve_points(gbar: FieldPolynomial, m: int, budget: int | None = None)
         raise DegreeCharClash(f"need gcd(deg, p) = 1 and deg >= 1, got deg = {d}")
     hist = trace_counts(gbar, m, budget)
     return 1 + gbar.field.p * hist[0]
-
-
-def _int_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def p1_polynomial(gbar: FieldPolynomial, budget: int | None = None) -> tuple[int, ...]:
@@ -86,7 +78,7 @@ def implied_power_sums(b: Sequence[int], upto: int) -> list[int]:
 def curve_newton_polygon(b: Sequence[int], p: int, h: int) -> ConvexPolygon:
     """q-adic Newton polygon of an integer polynomial, q = p^h."""
     points = [
-        (Fraction(k), Fraction(_int_valuation(c, p), h))
+        (Fraction(k), Fraction(int_valuation(c, p), h))
         for k, c in enumerate(b)
         if c != 0
     ]
@@ -118,8 +110,8 @@ def slope_length_relation_check(fbar: FieldPolynomial, budget: int | None = None
     np_l = newton_polygon(l_polynomial(fbar, None, budget))
     b = p1_polynomial(fbar, budget)
     np_c = curve_newton_polygon(b, field.p, field.e)
-    lengths_l = dict(slope_multiset(np_l))
-    lengths_c = dict(slope_multiset(np_c))
+    lengths_l = dict(np_l.slope_multiset())
+    lengths_c = dict(np_c.slope_multiset())
     slopes = set(lengths_l) | set(lengths_c)
     return all(
         lengths_c.get(lam, Fraction(0)) == (field.p - 1) * lengths_l.get(lam, Fraction(0))

@@ -95,18 +95,6 @@ class CycInt:
         return f"CycInt(p={self.p}, {list(self.coeffs)})"
 
 
-def cyc_add(a: CycInt, b: CycInt) -> CycInt:
-    return a + b
-
-
-def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
-    return a * b
-
-
-def cyc_neg(a: CycInt) -> CycInt:
-    return -a
-
-
 def zeta_power(p: int, k: int) -> CycInt:
     """zeta_p^k reduced onto the power basis."""
     counts = [0] * p
@@ -127,7 +115,8 @@ def exact_div_int(a: CycInt, k: int) -> CycInt:
     return CycInt(a.p, tuple(out))
 
 
-def _int_valuation(n: int, p: int) -> int:
+def int_valuation(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n."""
     v = 0
     while n % p == 0:
         n //= p
@@ -152,7 +141,7 @@ def pi_valuation(a: CycInt) -> int | float:
             a.coeffs[i] * math.comb(i, j) for i in range(j, p - 1)
         ) * (-1) ** (j % 2)
         if b:
-            v = j + (p - 1) * _int_valuation(b, p)
+            v = j + (p - 1) * int_valuation(b, p)
             if v < best:
                 best = v
     return best

@@ -36,6 +36,7 @@ from .ratpoly import (
     constant,
     degree,
     is_monic,
+    mod_p,
     poly_add,
     poly_compose,
     poly_divmod,
@@ -132,9 +133,7 @@ def is_admissible(p: int, a, n: int) -> AdmissibleTriple:
     p_coprime = (6 * n) % p != 0
     permutes = False
     if p_integral:
-        field = build_field(p, 1)
-        abar = field.element(a.numerator * pow(a.denominator, -1, p))
-        permutes = dickson_perm_criterion(n, abar)
+        permutes = dickson_perm_criterion(n, build_field(p, 1).element(mod_p(a, p)))
     return AdmissibleTriple(p, a, n, p_integral, p_coprime, permutes)
 
 

@@ -372,11 +372,6 @@ class FieldPolynomial:
         return f"FieldPolynomial({[list(c.coeffs) for c in self.coeffs]} over {self.field!r})"
 
 
-def eval_poly(f: FieldPolynomial, x: FieldElement) -> FieldElement:
-    """Horner evaluation of f at x; empty polynomial gives zero."""
-    return f(x)
-
-
 @functools.lru_cache(maxsize=None)
 def build_field(p: int, e: int) -> FiniteField:
     """The canonical F_{p^e}: smallest-modulus representative, cached."""
@@ -439,8 +434,3 @@ def embed(sub: FiniteField, sup: FiniteField) -> Embedding:
         orbit.append(sup.frobenius(orbit[-1]))
     best = min(orbit, key=lambda el: el.coeffs)
     return Embedding(sub, sup, best)
-
-
-def trace_to_prime(x: FieldElement) -> int:
-    """Absolute trace of x down to F_p, returned as an int in 0..p-1."""
-    return x.field.trace(x)

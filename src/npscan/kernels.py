@@ -112,8 +112,7 @@ def _eval_blocks_naive(fbar: FieldPolynomial, chunk: int) -> Iterator[tuple[int,
 
 def trace_histogram(fbar: FieldPolynomial, chunk: int = _CHUNK) -> list[int]:
     """Counts t_a = #{x in F_q : Tr(f(x)) = a}, indexed by a in 0..p-1."""
-    field = fbar.field
-    if ZECH_MIN_Q <= field.q <= ZECH_MAX_Q and _int64_safe(field):
+    if ZECH_MIN_Q <= fbar.field.q <= ZECH_MAX_Q and _prime_field_coeffs(fbar):
         return _trace_histogram_zech(fbar)
     return _trace_histogram_horner(fbar, chunk)
 
@@ -130,27 +129,25 @@ def _trace_histogram_horner(fbar: FieldPolynomial, chunk: int = _CHUNK) -> list[
 
 
 # ---------------------------------------------------------------------------
-# Zech (index) tables: the fast path for large extensions.
+# Zech route: the fast path for large extensions.
 #
-# Fix a generator g of F_q^*.  Trace down to F_p is additive, so for
-# f = sum c_k x^k and x = g^s,
+# Fix a generator g of F_q^*.  Trace down to F_p is F_p-linear, so when every
+# coefficient c_k with k >= 1 lies in F_p, x = g^s gives
 #
-#     Tr(f(g^s)) = Tr(c_0) + sum_{k >= 1, c_k != 0} T[(dlog(c_k) + k*s) mod (q-1)]
+#     Tr(f(g^s)) = Tr(c_0) + sum_{k >= 1} c_k T[k*s mod (q-1)],  T[s] = Tr(g^s).
 #
-# where T[s] = Tr(g^s).  One table per field turns every histogram into a
-# handful of fancy-indexing passes, independent of the extension degree.
-# Element codes reuse the enumeration index: code(x) = sum_i x_i p^i.
+# That covers every polynomial reduced from Q[x] and pushed into F_{p^m};
+# any other input takes the Horner route.  One table per field turns every
+# histogram into a handful of fancy-indexing passes, independent of the
+# extension degree.
 
 ZECH_MIN_Q = 1 << 12
 ZECH_MAX_Q = 1 << 25
 
 
-class _ZechTables:
-    __slots__ = ("trace_pow", "dlog")
-
-    def __init__(self, trace_pow: np.ndarray, dlog: np.ndarray):
-        self.trace_pow = trace_pow  # int16, length q-1; Tr(g^s)
-        self.dlog = dlog  # int64, length q; dlog[code] = s, dlog[0] = -1
+def _prime_field_coeffs(fbar: FieldPolynomial) -> bool:
+    """Every coefficient of x^k, k >= 1, lies in the prime field F_p."""
+    return not any(any(c.coeffs[1:]) for c in fbar.coeffs[1:])
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -181,21 +178,6 @@ def _find_generator(field: FiniteField):
     raise AssertionError("no generator found")  # unreachable for a field
 
 
-def _scale_block(rows: np.ndarray, srow, red: np.ndarray, p: int) -> np.ndarray:
-    """Multiply every row (an element of F_{p^e}) by one fixed element."""
-    n, e = rows.shape
-    if e == 1:
-        return rows * int(srow[0]) % p
-    conv = np.zeros((n, 2 * e - 1), dtype=np.int64)
-    for j in range(e):
-        cj = int(srow[j])
-        if cj:
-            conv[:, j : j + e] += rows * cj
-    low = conv[:, :e]
-    low += conv[:, e:] @ red
-    return low % p
-
-
 def _powers_rows(field: FiniteField, g, count: int, red: np.ndarray) -> np.ndarray:
     """Digit rows of g^0 .. g^(count-1), built by block doubling."""
     p, e = field.p, field.e
@@ -204,62 +186,52 @@ def _powers_rows(field: FiniteField, g, count: int, red: np.ndarray) -> np.ndarr
     while rows.shape[0] < count:
         have = rows.shape[0]
         take = min(have, count - have)
-        step = (g ** have).coeffs
-        rows = np.vstack([rows, _scale_block(rows[:take], step, red, p)])
+        step = np.array([(g ** have).coeffs], dtype=np.int64)
+        rows = np.vstack([rows, _mul_block(rows[:take], step, red, p)])
     return rows
 
 
 @functools.lru_cache(maxsize=6)
-def _zech_tables(field: FiniteField) -> _ZechTables:
+def _trace_powers(field: FiniteField) -> np.ndarray:
+    """T[s] = Tr(g^s) for s = 0..q-2, as int32.
+
+    With g^(a*B + b) = giant_a * baby_b and H[i, j] = Tr(x^(i+j)), the trace
+    is the bilinear form T[a*B + b] = giant_a H baby_b^T mod p.  Its entries
+    stay below e*(p-1)^2 < 2^62 for q <= ZECH_MAX_Q.
+    """
     p, e, q = field.p, field.e, field.q
     red = _reduction_rows(field)
+    tvec = np.array(field.trace_vector(), dtype=np.int64)
+    tr_xk = np.concatenate([tvec, red @ tvec % p])  # Tr(x^k), k = 0..2e-2
+    H = tr_xk[np.add.outer(np.arange(e), np.arange(e))]
     g = _find_generator(field)
     B = math.isqrt(q - 1) + 1
     baby = _powers_rows(field, g, B, red)
     giant = _powers_rows(field, g**B, (q - 2) // B + 1, red)
-    weights = np.array([p**i for i in range(e)], dtype=np.int64)
-
-    codes = np.empty(q - 1, dtype=np.int64)  # codes[s] = code of g^s
-    for a in range(giant.shape[0]):
-        lo = a * B
-        hi = min(lo + B, q - 1)
-        prod = _scale_block(baby[: hi - lo], giant[a], red, p)
-        codes[lo:hi] = prod @ weights
-
-    tvec = np.array(field.trace_vector(), dtype=np.int64)
-    trace_by_code = np.empty(q, dtype=np.int16)
-    for start in range(0, q, _CHUNK):
-        E = _element_block(field, start, min(start + _CHUNK, q))
-        trace_by_code[start : start + E.shape[0]] = (E @ tvec) % p
-
-    dlog = np.full(q, -1, dtype=np.int64)
-    dlog[codes] = np.arange(q - 1, dtype=np.int64)
-    return _ZechTables(trace_by_code[codes], dlog)
+    T = (giant @ H % p) @ baby.T
+    T %= p
+    return T.astype(np.int32).ravel()[: q - 1]
 
 
 def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
     field = fbar.field
     p, q = field.p, field.q
-    tables = _zech_tables(field)
-    weights = [p**i for i in range(field.e)]
-    terms = []
-    for k, c in enumerate(fbar.coeffs):
-        if k == 0 or c.is_zero():
-            continue
-        code = sum(ci * w for ci, w in zip(c.coeffs, weights))
-        terms.append((k, int(tables.dlog[code])))
+    if not _prime_field_coeffs(fbar):
+        raise ValueError("the Zech route needs coefficients of x^k, k >= 1, in F_p")
+    terms = [(k, c.coeffs[0]) for k, c in enumerate(fbar.coeffs) if k and not c.is_zero()]
     tr0 = field.trace(fbar.coeffs[0]) if fbar.coeffs else 0
 
     hist = np.zeros(p, dtype=np.int64)
     if not terms:
         hist[tr0] = q
         return [int(v) for v in hist]
+    T = _trace_powers(field)
     stripe = 1 << 20
     for start in range(0, q - 1, stripe):
         s = np.arange(start, min(start + stripe, q - 1), dtype=np.int64)
         acc = np.full(s.shape[0], tr0, dtype=np.int64)
-        for k, dl in terms:
-            acc += tables.trace_pow[(dl + k * s) % (q - 1)]
+        for k, c in terms:
+            acc += np.multiply(T[k * s % (q - 1)], c, dtype=np.int64)
         hist += np.bincount(acc % p, minlength=p)
     hist[tr0] += 1  # x = 0 contributes Tr(c_0)
     return [int(v) for v in hist]

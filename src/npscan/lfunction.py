@@ -156,13 +156,7 @@ def newton_polygon(lpoly: LPolynomial) -> ConvexPolygon:
 
 def reduce_mod_p(f: Sequence[Fraction], p: int) -> FieldPolynomial:
     """Reduction of f in Q[x] to F_p[x]; BadPlace if p divides a denominator."""
-    field = build_field(p, 1)
-    out = []
-    for c in ratpoly.as_poly(f):
-        if c.denominator % p == 0:
-            raise BadPlace(p, "nonintegral", f"coefficient {c}")
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return field.poly(out)
+    return build_field(p, 1).poly([ratpoly.mod_p(c, p) for c in ratpoly.as_poly(f)])
 
 
 def np_at_prime(

@@ -104,10 +104,6 @@ def hodge_polygon(d: int) -> ConvexPolygon:
     return ConvexPolygon(tuple((Fraction(k), Fraction(k * (k + 1), 2 * d)) for k in range(d)))
 
 
-def slope_multiset(poly: ConvexPolygon) -> tuple[tuple[Fraction, Fraction], ...]:
-    return poly.slope_multiset()
-
-
 def slope_length(poly: ConvexPolygon, lam) -> Fraction:
     """Horizontal length of the segment of slope lam (0 if absent)."""
     lam = _frac(lam)

@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import BadPlace
+
 QPoly = tuple[Fraction, ...]
 
 X: QPoly = (Fraction(0), Fraction(1))
@@ -103,6 +105,13 @@ def poly_eval(f: QPoly, x) -> Fraction:
     for c in reversed(f):
         acc = acc * x + c
     return acc
+
+
+def mod_p(c: Fraction, p: int) -> int:
+    """The image of c in F_p, as an int in 0..p-1; BadPlace if p divides its denominator."""
+    if c.denominator % p == 0:
+        raise BadPlace(p, "nonintegral", f"{c} is not {p}-integral")
+    return c.numerator * pow(c.denominator, -1, p) % p
 
 
 def poly_shift(f: QPoly, c) -> QPoly:

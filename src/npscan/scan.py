@@ -133,6 +133,10 @@ def good_places(f: Sequence[Fraction], p_max: int) -> list[int]:
     return out
 
 
+def _admissible(p: int, hint: DicksonSpec | None) -> bool | None:
+    return None if hint is None else is_admissible(p, hint.a, hint.n).admissible
+
+
 def scan_record(
     f: Sequence[Fraction],
     p: int,
@@ -144,9 +148,7 @@ def scan_record(
     """Compute one record; budget blowups land in the error field."""
     fq = ratpoly.as_poly(f)
     d = ratpoly.degree(fq)
-    admissible = None
-    if hint is not None:
-        admissible = is_admissible(p, hint.a, hint.n).admissible
+    admissible = _admissible(p, hint)
     c_eff = char % p
     if c_eff == 0:
         return ScanRecord(
@@ -222,13 +224,14 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
 
     records: dict[int, ScanRecord] = {}
     todo: list[int] = []
+    cache = cache_load(opts.cache_path) if opts.cache_path is not None else {}
     for p in primes:
-        if opts.cache_path is not None:
-            cached = cache_get(opts.cache_path, cache_key(fq, p, opts.char))
-            if cached is not None:
-                records[p] = cached
-                continue
-        todo.append(p)
+        cached = cache.get(cache_key(fq, p, opts.char))
+        if cached is not None:
+            # admissible depends on this scan's hint, which the key leaves out
+            records[p] = replace(cached, admissible=_admissible(p, hint))
+        else:
+            todo.append(p)
 
     if opts.jobs > 1 and len(todo) > 1:
         args = [(ratpoly.to_strings(fq), p, opts.char, opts.budget, hint) for p in todo]
@@ -240,9 +243,10 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
             records[p] = scan_record(fq, p, opts.char, opts.budget, hint, opts.timing)
 
     ordered = [records[p] for p in primes]
+    computed = set(todo)
     for rec in ordered:
         validate_record(rec)
-        if opts.cache_path is not None and rec.error is None and rec.p in set(todo):
+        if opts.cache_path is not None and rec.error is None and rec.p in computed:
             cache_put(opts.cache_path, cache_key(fq, rec.p, opts.char), rec)
 
     gap_bound = Fraction(1, 2 * d)
@@ -392,13 +396,13 @@ def cache_key(f: Sequence[Fraction], p: int, c: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def cache_get(path: str, key: str) -> ScanRecord | None:
-    """Newest valid entry for key, or None; corrupt lines are skipped loudly."""
-    found = None
+def cache_load(path: str) -> dict[str, ScanRecord]:
+    """Newest valid entry per key; corrupt lines are skipped loudly."""
+    found: dict[str, ScanRecord] = {}
     try:
         fh = open(path, encoding="utf-8")
     except FileNotFoundError:
-        return None
+        return found
     with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -409,10 +413,10 @@ def cache_get(path: str, key: str) -> ScanRecord | None:
             except json.JSONDecodeError:
                 print(f"cache: skipping corrupt line {lineno} of {path}", file=sys.stderr)
                 continue
-            if obj.get("key") != key or obj.get("version") != CACHE_VERSION:
+            if obj.get("version") != CACHE_VERSION:
                 continue
             try:
-                found = record_from_json(obj["record"])  # re-validates the polygon
+                found[obj["key"]] = record_from_json(obj["record"])  # re-validates the polygon
             except Exception:
                 print(f"cache: invalid record at line {lineno} of {path}", file=sys.stderr)
     return found

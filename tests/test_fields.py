@@ -14,7 +14,6 @@ from npscan.fields import (
     build_field,
     embed,
     is_prime,
-    trace_to_prime,
 )
 
 PRIME_POWERS_SMALL = [
@@ -111,7 +110,6 @@ def test_trace_matches_conjugate_sum(p, e):
             y = F.frobenius(y)
         assert acc.coeffs[1:] == (0,) * (e - 1)  # trace lands in F_p
         assert F.trace(x) == acc.coeffs[0]
-        assert trace_to_prime(x) == F.trace(x)
 
 
 def test_trace_fibers_are_uniform():

@@ -1,8 +1,16 @@
 """Dual-route checks for the vectorized kernels.
 
 Every fast path has a slow twin: Horner-block evaluation vs elementwise
-Python evaluation, and the Zech index tables vs both.  The routes share no
-code beyond the field definition itself.
+Python evaluation, and the Zech route vs both.  The routes share no code
+beyond the field definition itself.
+
+Which inputs each route takes:
+
+* naive (the oracle): any polynomial over any field;
+* Horner: any polynomial over any field;
+* Zech: ZECH_MIN_Q <= q <= ZECH_MAX_Q, and every coefficient of x^k with
+  k >= 1 in F_p (c_0 is free); it raises on anything else.
+  trace_histogram sends it exactly those inputs and the rest to Horner.
 """
 
 import random
@@ -20,7 +28,14 @@ def random_poly(field, degree, rng):
     return field.poly([field.from_index(k) for k in coeffs])
 
 
-@pytest.mark.parametrize("p,e", [(2, 5), (3, 3), (5, 2), (7, 2), (11, 1), (13, 2)])
+def random_fp_poly(field, degree, rng):
+    """Constant term anywhere in F_q, every other coefficient in F_p."""
+    p = field.p
+    coeffs = [rng.randrange(p) for _ in range(degree - 1)] + [rng.randrange(1, p)]
+    return field.poly([field.from_index(rng.randrange(field.q))] + coeffs)
+
+
+@pytest.mark.parametrize("p,e", [(2, 5), (3, 3), (5, 2), (7, 2), (11, 1), (13, 2), (3, 8)])
 def test_trace_histogram_matches_naive(p, e):
     rng = random.Random(p * 100 + e)
     F = build_field(p, e)
@@ -37,8 +52,24 @@ def test_zech_and_horner_routes_agree(p, e):
     F = build_field(p, e)
     assert F.q > kernels.ZECH_MIN_Q
     for deg in (2, 3, 6):
-        f = random_poly(F, deg, rng)
+        f = random_fp_poly(F, deg, rng)
         assert kernels._trace_histogram_zech(f) == kernels._trace_histogram_horner(f)
+
+
+@pytest.mark.parametrize("p", [40009, 65537])
+def test_zech_matches_horner_past_int16(p):
+    """Traces above 2^15 must not wrap in the Zech table."""
+    F = build_field(p, 1)
+    rng = random.Random(p)
+    for f in (F.poly([0, 0, 1]), random_fp_poly(F, 5, rng)):
+        assert kernels._trace_histogram_zech(f) == kernels._trace_histogram_horner(f)
+
+
+def test_zech_rejects_coefficients_outside_prime_field():
+    F = build_field(3, 8)
+    f = F.poly([0, F.gen(), 1])
+    with pytest.raises(ValueError):
+        kernels._trace_histogram_zech(f)
 
 
 def test_zech_handles_sparse_and_constant_polys():

@@ -22,7 +22,7 @@ from npscan.scan import (
     VERDICT_NO_WITNESS,
     VERDICT_OSCILLATES,
     ScanOptions,
-    cache_get,
+    cache_load,
     cache_key,
     cache_put,
     good_places,
@@ -160,11 +160,11 @@ def test_verdict_strings_exact():
 def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     key = cache_key(X3, 5, 1)
-    assert cache_get(path, key) is None  # missing file is a miss
+    assert cache_load(path).get(key) is None  # missing file is a miss
     rec = scan_record(X3, 5)
     cache_put(path, key, rec)
-    assert cache_get(path, key) == rec
-    assert cache_get(path, cache_key(X3, 7, 1)) is None
+    assert cache_load(path).get(key) == rec
+    assert cache_load(path).get(cache_key(X3, 7, 1)) is None
 
 
 def test_cache_skips_corrupt_lines(tmp_path, capsys):
@@ -176,7 +176,7 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
         good = fp.read()
     with open(path, "w") as fp:
         fp.write("this is not json\n" + good)
-    assert cache_get(path, key) == rec
+    assert cache_load(path).get(key) == rec
     assert "cache" in capsys.readouterr().err.lower()
 
 
@@ -186,7 +186,7 @@ def test_cache_version_mismatch_is_a_miss(tmp_path):
     entry = {"key": key, "version": "other", "record": record_to_json(scan_record(X3, 5))}
     with open(path, "w") as fp:
         fp.write(json.dumps(entry) + "\n")
-    assert cache_get(path, key) is None
+    assert cache_load(path).get(key) is None
     assert CACHE_VERSION == "npscan-cache-1"
 
 
@@ -197,6 +197,17 @@ def test_scan_replays_from_cache(tmp_path):
     assert first == second  # cached records replay ms and all
     with open(path) as fp:
         assert len(fp.readlines()) == len(first)
+
+
+def test_cache_replay_recomputes_admissible(tmp_path):
+    """admissible depends on the Dickson hint, which the cache key leaves out."""
+    path = str(tmp_path / "cache.jsonl")
+    opts = ScanOptions(p_max=30, timing=False, cache_path=path)
+    _, plain = run_scan(X3, dataclasses.replace(opts, auto_hint=False))
+    replayed, hinted = run_scan(X3, opts)
+    assert plain.n_admissible == 0
+    assert hinted.hint == DicksonSpec(3, F(0)) and hinted.n_admissible == 5
+    assert replayed == run_scan(X3, dataclasses.replace(opts, cache_path=None))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +246,18 @@ def test_cli_np_golden_line():
     assert res.stdout.splitlines()[1] == (
         "5,1,3,0/1:0/1;2/1:1/1,1/2:2/1,1/6,false,2,,true,1/2,"
     )
+    # these go through the Zech route: F_{71^2}, F_{23^3}, F_{23^4}, F_{29^3}, F_{29^4}
+    zech_rows = {
+        ("x^3", "71"): "71,1,3,0/1:0/1;2/1:1/1,1/2:2/1,1/6,false,2,,true,1/2,",
+        ("dickson(5,1)", "23"):
+            "23,1,5,0/1:0/1;2/1:7/11;4/1:2/1,7/22:2/1;15/22:2/1,13/110,false,3,,true,7/22,",
+        ("dickson(5,1)", "29"):
+            "29,1,5,0/1:0/1;1/1:3/14;2/1:9/14;3/1:17/14;4/1:2/1,"
+            "3/14:1/1;3/7:1/1;4/7:1/1;11/14:1/1,3/70,false,4,,false,,",
+    }
+    for (poly, p), row in zech_rows.items():
+        res = cli("np", poly, p, "--no-timing")
+        assert res.returncode == 0 and res.stdout.splitlines()[1] == row, (poly, p)
 
 
 def test_cli_np_json():
