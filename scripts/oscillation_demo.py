@@ -34,7 +34,7 @@ def main(argv=None):
         "--quintic-p-max",
         type=int,
         default=50,
-        help="prime bound for D_5(x,1); each prime costs an F_{p^4} enumeration",
+        help="prime bound for D_5(x,1); each prime costs an F_{p^2} enumeration",
     )
     ap.add_argument("--jobs", type=int, default=1, help="worker processes")
     ap.add_argument("--out-dir", default="out", help="directory for the CSV reports")

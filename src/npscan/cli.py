@@ -266,10 +266,12 @@ def cmd_crosscheck(args) -> int:
         lambda: np_base_change_check(fbar, args.base_change, Character(p, 1), budget))
 
     def character_independence():
-        polys = {
-            newton_polygon(l_polynomial(fbar, Character(p, c), budget))
-            for c in range(1, p)
-        }
+        # also pins the half-L path (np and scan rows) to the full one
+        polys = set()
+        for c in range(1, p):
+            chi = Character(p, c)
+            polys.add(newton_polygon(l_polynomial(fbar, chi, budget)))
+            polys.add(newton_polygon(l_polynomial(fbar, chi, budget, half=True)))
         return len(polys) == 1
 
     run("character-independence", character_independence)
@@ -379,11 +381,10 @@ def cmd_zeta(args) -> int:
     field = build_field(args.p, args.e)
     gbar = field.poly([ratpoly.mod_p(c, args.p) for c in g])
     b = p1_polynomial(gbar, args.budget)
-    genus = (args.p - 1) * (ratpoly.degree(ratpoly.as_poly(g)) - 1) // 2
     print(json.dumps({
         "p": args.p,
         "q": field.q,
-        "genus": genus,
+        "genus": (len(b) - 1) // 2,  # deg P_1 = 2g; g is the reduced curve's
         "p1": [str(c) for c in b],
     }))
     return 0

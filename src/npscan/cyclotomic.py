@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotAUnit, NotDivisible, NotRational, PrimeMismatch
 from .fields import is_prime
 from .errors import NotPrime
@@ -79,11 +81,11 @@ class CycInt:
         self._check(other)
         p = self.p
         counts = [0] * p
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        counts[(i + j) % p] += a * b
+                for j, b in terms:
+                    counts[(i + j) % p] += a * b
         return CycInt.from_root_counts(p, counts)
 
     __rmul__ = __mul__
@@ -127,24 +129,29 @@ def int_valuation(n: int, p: int) -> int:
 def pi_valuation(a: CycInt) -> int | float:
     """v_pi(a) where pi = 1 - zeta, normalized so v_pi(pi) = 1, v_pi(p) = p-1.
 
-    Substituting zeta = 1 - pi rewrites a as sum_j b_j pi^j with integer b_j
-    and j <= p-2; since v(pi^j p^t) = j + t(p-1) and the j are distinct mod
-    p-1, the minimum over nonzero terms is the exact valuation.  Returns
+    The zeta basis is a Z-basis, so p^t divides a exactly when it divides
+    every coefficient; take t maximal.  Then a / p^t mod p is a nonzero r(x)
+    in F_p[x] of degree <= p-2, and Z[zeta]/p = F_p[x]/(x-1)^(p-1) with pi
+    mapping to 1 - x, so v_pi(a / p^t) is the multiplicity j < p-1 of x = 1
+    as a root of r.  Hence v_pi(a) = (p-1) t + j, with j found by repeated
+    synthetic division by x - 1: O(p j) small-integer work.  Returns
     INFINITY for zero.
     """
     if a.is_zero():
         return INFINITY
     p = a.p
-    best: int | float = INFINITY
-    for j in range(p - 1):
-        b = sum(
-            a.coeffs[i] * math.comb(i, j) for i in range(j, p - 1)
-        ) * (-1) ** (j % 2)
-        if b:
-            v = j + (p - 1) * int_valuation(b, p)
-            if v < best:
-                best = v
-    return best
+    t = int_valuation(math.gcd(*a.coeffs), p)
+    scale = p**t
+    r = np.array([c // scale % p for c in a.coeffs], dtype=np.int64)
+    j = 0
+    while True:
+        # b = [b_n, ..., b_0] with b_i = r_i + b_(i+1): b_0 = r(1), and
+        # b_1..b_n are the quotient's coefficients; entries stay below p^2
+        b = np.cumsum(r[::-1]) % p
+        if b[-1]:
+            return (p - 1) * t + j
+        r = b[-2::-1]
+        j += 1
 
 
 def galois_apply(a: CycInt, c: int) -> CycInt:

@@ -10,6 +10,18 @@ every division exact.
 The q-adic Newton polygon is the lower hull of (k, v_pi(a_k) / (h(p-1))).
 It does not depend on the choice of c, and it equals the Hodge polygon
 whenever p = 1 mod d.
+
+The polygon needs only half of L.  L is pure of weight 1 (Weil; this is
+where gcd(d, p) = 1 enters), so its reciprocal roots w satisfy
+conj(w) = q / w, and the functional equation reads
+a_(d-1-k) = a_(d-1) conj(a_k) / q^k with a_(d-1) conj(a_(d-1)) = q^(d-1).
+Complex conjugation is zeta -> zeta^-1 and preserves v_pi, hence
+v(a_(d-1)) = (d-1) h(p-1) / 2 and
+v(a_(d-1-k)) = v(a_k) + (d-1) h(p-1) / 2 - k h(p-1).
+l_polynomial(..., half=True) therefore stops the recurrence at
+K = (d-1) // 2 and enumerates no field larger than F_(q^K), and
+newton_polygon fills in the other half; np_at_prime takes this path.
+Without half=True, l_polynomial is the full, exact path.
 """
 
 from __future__ import annotations
@@ -48,23 +60,26 @@ class Character:
 
 @dataclass(frozen=True)
 class LPolynomial:
-    """L(fbar, chi, t) = sum a_k t^k with a_k in Z[zeta_p]; a_0 = 1."""
+    """L(fbar, chi, t) = sum a_k t^k of the given degree, a_k in Z[zeta_p].
+
+    coeffs holds a_0 = 1 .. a_degree, or only a_0 .. a_(degree // 2) for
+    half of L (l_polynomial(..., half=True)).
+    """
 
     p: int
     h: int
+    degree: int
     coeffs: tuple[CycInt, ...]
 
     def __post_init__(self):
         if not self.coeffs or self.coeffs[0] != CycInt.one(self.p):
             raise ValueError("constant coefficient must be 1")
+        if len(self.coeffs) not in (self.degree + 1, self.degree // 2 + 1):
+            raise ValueError("coeffs must run to a_degree or to a_(degree // 2)")
 
     @property
     def q(self) -> int:
         return self.p**self.h
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @functools.lru_cache(maxsize=512)
@@ -102,16 +117,28 @@ def exp_sum(fbar: FieldPolynomial, m: int, chi: Character, budget: int | None = 
     return CycInt.from_root_counts(p, counts)
 
 
+def _newton_sum(sums: Sequence[CycInt], coeffs: Sequence[CycInt]) -> CycInt:
+    """sum_{j=1..k} S_j a_(k-j) for k = len(coeffs): k times the next a_k."""
+    k = len(coeffs)
+    acc = CycInt.zero(coeffs[0].p)
+    for j in range(1, k + 1):
+        acc = acc + sums[j - 1] * coeffs[k - j]
+    return acc
+
+
 def l_polynomial(
     fbar: FieldPolynomial,
     chi: Character | None = None,
     budget: int | None = None,
     verify: bool = False,
+    half: bool = False,
 ) -> LPolynomial:
     """The degree-(d-1) polynomial L(fbar, chi, t) over Z[zeta_p].
 
-    Requires gcd(d, p) = 1.  With verify=True, S_d is also computed and the
-    recurrence is run one step further, which must give a_d = 0.
+    Requires gcd(d, p) = 1; chi defaults to chi_1.  With half=True the
+    recurrence stops at a_K, K = (d-1) // 2, so only S_1..S_K are
+    enumerated.  With verify=True (full L only), S_d is also computed and
+    the recurrence is run one step further, which must give a_d = 0.
     """
     field = fbar.field
     p, d = field.p, fbar.degree
@@ -119,39 +146,48 @@ def l_polynomial(
         raise ValueError("fbar must be nonconstant")
     if math.gcd(d, p) != 1:
         raise DegreeCharClash(f"gcd(d, p) = gcd({d}, {p}) != 1")
+    if verify and half:
+        raise ValueError("verify needs the full L-polynomial")
     if chi is None:
         chi = Character(p, 1)
-    upto = d if verify else d - 1
+    upto = (d - 1) // 2 if half else d - 1
     sums = [exp_sum(fbar, m, chi, budget) for m in range(1, upto + 1)]
     coeffs = [CycInt.one(p)]
-    for k in range(1, d):
-        acc = CycInt.zero(p)
-        for j in range(1, k + 1):
-            acc = acc + sums[j - 1] * coeffs[k - j]
+    for k in range(1, upto + 1):
         try:
-            coeffs.append(exact_div_int(acc, k))
+            coeffs.append(exact_div_int(_newton_sum(sums, coeffs), k))
         except NotDivisible as exc:
             raise InternalDivisibility(f"coefficient a_{k} is not integral") from exc
-    if coeffs[d - 1].is_zero() and d > 1:
+    if not half and d > 1 and coeffs[d - 1].is_zero():
         raise InvariantViolation("leading coefficient a_(d-1) vanished")
     if verify:
-        acc = CycInt.zero(p)
-        for j in range(1, d + 1):
-            acc = acc + sums[j - 1] * coeffs[d - j]
-        if not acc.is_zero():
+        sums.append(exp_sum(fbar, d, chi, budget))
+        if not _newton_sum(sums, coeffs).is_zero():
             raise InvariantViolation("S_d is inconsistent with the L-coefficients")
-    return LPolynomial(p, field.e, tuple(coeffs))
+    return LPolynomial(p, field.e, d - 1, tuple(coeffs))
 
 
 def newton_polygon(lpoly: LPolynomial) -> ConvexPolygon:
-    """q-adic Newton polygon: lower hull of (k, v_pi(a_k) / (h(p-1)))."""
-    denom = lpoly.h * (lpoly.p - 1)
-    points = []
-    for k, a in enumerate(lpoly.coeffs):
-        v = pi_valuation(a)
-        if v != math.inf:
-            points.append((Fraction(k), Fraction(int(v), denom)))
-    return lower_hull(points)
+    """q-adic Newton polygon: lower hull of (k, v_pi(a_k) / (h(p-1))).
+
+    For half of L the valuations of a_(K+1)..a_(d-1) come from the
+    functional equation (module docstring), which also fixes the endpoint
+    (d-1, (d-1)/2).  The computed a_0..a_K must lie on or above the Hodge
+    polygon, k(k+1)/(2d) at k (Adolphson-Sperber); that is the check left
+    on them once the other half and the endpoint hold by construction.
+    """
+    n = lpoly.degree
+    unit = lpoly.h * (lpoly.p - 1)  # v_pi(q)
+    vals = [pi_valuation(a) for a in lpoly.coeffs]
+    if len(vals) <= n:
+        for k, v in enumerate(vals):
+            if 2 * (n + 1) * v < k * (k + 1) * unit:
+                raise InvariantViolation(f"v(a_{k}) lies below the Hodge polygon")
+        top = n * unit // 2  # v_pi(a_(d-1)); n * unit is even since p = 2 forces d odd
+        vals += [vals[n - k] + top - (n - k) * unit for k in range(len(vals), n + 1)]
+    return lower_hull(
+        (Fraction(k), Fraction(int(v), unit)) for k, v in enumerate(vals) if v != math.inf
+    )
 
 
 def reduce_mod_p(f: Sequence[Fraction], p: int) -> FieldPolynomial:
@@ -162,7 +198,8 @@ def reduce_mod_p(f: Sequence[Fraction], p: int) -> FieldPolynomial:
 def np_at_prime(
     f: Sequence, p: int, chi_index: int = 1, budget: int | None = None
 ) -> ConvexPolygon:
-    """Newton polygon NP_p(f) of a monic f in Q[x] at a good place p."""
+    """Newton polygon NP_p(f) of a monic f in Q[x] at a good place p, from
+    half of L: the budget bounds p^((d-1) // 2)."""
     fq = ratpoly.as_poly(f)
     d = ratpoly.degree(fq)
     if d < 1 or not ratpoly.is_monic(fq):
@@ -170,8 +207,7 @@ def np_at_prime(
     if math.gcd(d, p) != 1:
         raise BadPlace(p, "degree", f"p = {p} divides d = {d}")
     fbar = reduce_mod_p(fq, p)
-    lp = l_polynomial(fbar, Character(p, chi_index), budget)
-    return newton_polygon(lp)
+    return newton_polygon(l_polynomial(fbar, Character(p, chi_index), budget, half=True))
 
 
 def np_base_change_check(

@@ -184,7 +184,14 @@ def scan_record(
 
 
 def validate_record(rec: ScanRecord) -> None:
-    """Hard, theorem-backed assertions; a failure is a build-failing event."""
+    """Hard, theorem-backed assertions; a failure is a build-failing event.
+
+    A fresh row's polygon comes from half of L, so its endpoint and its
+    half past K = (d-1) // 2 hold by construction; those checks still bite
+    on cached rows.  The computed half is checked against Hodge here and in
+    newton_polygon; the full-path comparison is crosscheck's
+    character-independence line and the tests.
+    """
     if rec.error is not None or rec.polygon is None:
         return
     d = rec.d

@@ -6,8 +6,11 @@ comparisons are exact rational/integer equality; the only tolerances are the
 stated runtime ceilings, which are asserted.
 
 The final test replays every Newton polygon collected by the earlier tests
-against the Hodge lower bound and the forced endpoint, so it must run after
-them (pytest's in-file definition order guarantees that).
+against the Hodge lower bound and the forced endpoint, and recomputes every
+np_at_prime polygon (which comes from half of the L-polynomial and the
+functional equation, so its endpoint holds by construction) on the full
+l_polynomial path.  It must run after them (pytest's in-file definition
+order guarantees that).
 """
 
 import math
@@ -58,9 +61,19 @@ X4X = (F(0), F(1), F(0), F(0), F(1))
 POLYGONS: list[tuple[object, int]] = []
 
 
+# every np_at_prime result as (f, p, c, polygon), for the full-path replay
+NP_CASES: list[tuple[object, int, int, object]] = []
+
+
 def note_polygon(poly, d):
     POLYGONS.append((poly, d))
     return poly
+
+
+def note_np(f, p, c=1):
+    poly = np_at_prime(f, p, c)
+    NP_CASES.append((f, p, c, poly))
+    return note_polygon(poly, ratpoly.degree(ratpoly.as_poly(f)))
 
 
 @contextmanager
@@ -94,7 +107,7 @@ def test_c01_hodge_equality_family():
         ps = [p for p in primes(2, 100) if p % 3 == 1]
         assert ps == [7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97]
         for p in ps:
-            assert note_polygon(np_at_prime(X3, p), 3) == hp3, p
+            assert note_np(X3, p) == hp3, p
         assert time.perf_counter() - t0 < 10.0
 
 
@@ -106,7 +119,7 @@ def test_c02_gap_bound_at_inert_primes():
         ps = [p for p in primes(5, 100) if p % 3 == 2]
         assert ps == [5, 11, 17, 23, 29, 41, 47, 53, 59, 71, 83, 89]
         for p in ps:
-            poly = note_polygon(np_at_prime(X3, p), 3)
+            poly = note_np(X3, p)
             assert poly == expected, p
             assert poly.slope_multiset() == ((F(1, 2), F(2)),), p
             assert vertical_gap(poly, hp3) == F(1, 6), p
@@ -119,10 +132,10 @@ def test_c03_oscillation_for_dickson_factor():
         f = dickson(5, F(1))
         assert f == (F(0), F(5), F(0), F(-5), F(0), F(1))
         assert is_admissible(7, F(1), 5).admissible
-        poly7 = note_polygon(np_at_prime(f, 7), 5)
+        poly7 = note_np(f, 7)
         assert any(length >= 2 for _, length in poly7.slope_multiset())
         assert vertical_gap(poly7, hodge_polygon(5)) >= F(1, 10)
-        poly11 = note_polygon(np_at_prime(f, 11), 5)
+        poly11 = note_np(f, 11)
         assert poly11 == hodge_polygon(5)
         _, summary = run_scan(f, ScanOptions(p_max=11))
         assert summary.verdict == "oscillates (limit cannot exist)"
@@ -224,9 +237,7 @@ def test_c08_character_independence_and_base_change():
                 if math.gcd(d, p) != 1:
                     continue
                 fbar = reduce_mod_p(f, p)
-                polys = {
-                    note_polygon(np_at_prime(f, p, c), d) for c in range(1, p)
-                }
+                polys = {note_np(f, p, c) for c in range(1, p)}
                 assert len(polys) == 1, (f, p)
                 assert np_base_change_check(fbar, 2), (f, p)
 
@@ -285,8 +296,12 @@ def test_c10_dickson_algebra():
 
 
 def test_c11_adolphson_sperber_floor():
-    with report("C11", "every computed NP sits on/above HP and hits the endpoint"):
+    with report("C11", "every NP sits on/above HP, hits the endpoint, matches the full L"):
         assert len(POLYGONS) >= 60  # criteria 1-8 ran first and logged their polygons
         for poly, d in POLYGONS:
             assert lies_above(poly, hodge_polygon(d))
             assert poly.end == (F(d - 1), F(d - 1, 2))
+        assert len(NP_CASES) >= 55
+        for f, p, c, poly in NP_CASES:
+            full = newton_polygon(l_polynomial(reduce_mod_p(f, p), Character(p, c)))
+            assert poly == full, (f, p, c)

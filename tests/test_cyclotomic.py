@@ -3,8 +3,14 @@
 The naive multiplication oracle works in Z[x]/(x^p - 1) first (exponent
 arithmetic mod p) and then eliminates zeta^(p-1) with the minimal relation
 1 + zeta + ... + zeta^(p-1) = 0; the library's convolution never sees it.
+
+The valuation oracle is the binomial sum: substituting zeta = 1 - pi gives
+a = sum_j b_j pi^j with integer b_j, j <= p-2, and the minimum of
+j + (p-1) v_p(b_j) over nonzero b_j is v_pi(a) (the j are distinct mod
+p-1).  It costs O(p^2) bigint work; the library uses synthetic division.
 """
 
+import math
 import random
 
 import pytest
@@ -16,6 +22,7 @@ from npscan.cyclotomic import (
     as_rational_integer,
     exact_div_int,
     galois_apply,
+    int_valuation,
     pi_valuation,
     zeta_power,
 )
@@ -34,6 +41,18 @@ def naive_mul(a: CycInt, b: CycInt) -> CycInt:
 
 def random_cyc(p, rng, bound=9):
     return CycInt(p, tuple(rng.randint(-bound, bound) for _ in range(p - 1)))
+
+
+def binomial_pi_valuation(a: CycInt):
+    if a.is_zero():
+        return INFINITY
+    p = a.p
+    best = INFINITY
+    for j in range(p - 1):
+        b = sum(a.coeffs[i] * math.comb(i, j) for i in range(j, p - 1)) * (-1) ** (j % 2)
+        if b:
+            best = min(best, j + (p - 1) * int_valuation(b, p))
+    return best
 
 
 def test_basic_identities_p3():
@@ -102,6 +121,31 @@ def test_product_of_conjugates_of_pi_is_p():
             acc = acc * (one - zeta_power(p, c))
         assert as_rational_integer(acc) == p
         assert pi_valuation(acc) == p - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 101])
+def test_pi_valuation_matches_binomial_oracle(p):
+    rng = random.Random(4000 + p)
+    one = CycInt.one(p)
+    pi = one - zeta_power(p, 1)
+    for trial in range(150):
+        a = random_cyc(p, rng, bound=rng.choice([1, 9, 10**6]))
+        if trial % 3 == 1:
+            a = a * p ** rng.randrange(1, 4)  # high valuations: p^t divides a
+        elif trial % 3 == 2:
+            for _ in range(rng.randrange(1, 3 * p)):  # multiples of pi^k
+                a = a * pi
+        assert pi_valuation(a) == binomial_pi_valuation(a), a
+    assert pi_valuation(CycInt.zero(p)) == binomial_pi_valuation(CycInt.zero(p)) == INFINITY
+
+
+def test_pi_valuation_of_pi_powers():
+    for p in (2, 3, 5, 13):
+        pi = CycInt.one(p) - zeta_power(p, 1)
+        power = CycInt.one(p)
+        for k in range(3 * p):
+            assert pi_valuation(power) == k, (p, k)
+            power = power * pi
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

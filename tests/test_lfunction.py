@@ -7,6 +7,8 @@ Frozen values were derived by hand first:
   one-slope polygon (0,0)-(1,1/2).
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +19,12 @@ from npscan.errors import (
     BudgetExceeded,
     CharacteristicMismatch,
     DegreeCharClash,
+    InvariantViolation,
 )
-from npscan.fields import build_field
+from npscan.fields import DEFAULT_ENUM_BUDGET, build_field
 from npscan.lfunction import (
     Character,
+    LPolynomial,
     exp_sum,
     l_polynomial,
     newton_polygon,
@@ -29,7 +33,7 @@ from npscan.lfunction import (
     reduce_mod_p,
     trace_counts,
 )
-from npscan.polygons import hodge_polygon, lies_above, vertical_gap
+from npscan.polygons import hodge_polygon, lies_above, lower_hull, vertical_gap
 from npscan import ratpoly
 
 F = Fraction
@@ -154,6 +158,102 @@ def test_np_independent_of_character():
             newton_polygon(l_polynomial(fbar, Character(p, c))) for c in range(1, p)
         }
         assert len(polys) == 1
+
+
+def half_np(fbar, chi=None, budget=None):
+    return newton_polygon(l_polynomial(fbar, chi, budget, half=True))
+
+
+def _half_l_cells():
+    """(p, h, d) with gcd(d, p) = 1 and q^(d-1) small enough for the full path."""
+    return [
+        (p, h, d)
+        for p in (2, 3, 5, 7, 11)
+        for h in (1, 2)
+        for d in range(1, 8)
+        if math.gcd(d, p) == 1 and p ** (h * (d - 1)) <= 10**5
+    ]
+
+
+@pytest.mark.parametrize("p,h,d", _half_l_cells())
+def test_half_l_polygon_matches_full_path(p, h, d):
+    """The functional-equation polygon equals the full L-polynomial's, for
+    general F_q coefficients (not only F_p) and every character."""
+    rng = random.Random(f"half-l-{p}-{h}-{d}")
+    field = build_field(p, h)
+    for _ in range(3):
+        coeffs = [rng.randrange(field.q) for _ in range(d)] + [rng.randrange(1, field.q)]
+        fbar = field.poly([field.from_index(k) for k in coeffs])
+        for c in range(1, p):
+            chi = Character(p, c)
+            full = newton_polygon(l_polynomial(fbar, chi))
+            assert half_np(fbar, chi) == full, (fbar, c)
+
+
+def test_half_l_enumerates_only_up_to_q_to_the_k():
+    # D_5-like quintic over F_11: K = 2, so F_{11^2} is the largest field
+    fbar = reduce_mod_p(Q(0, 5, 0, -5, 0, 1), 11)
+    assert half_np(fbar, budget=11**2) == newton_polygon(l_polynomial(fbar))
+    with pytest.raises(BudgetExceeded):
+        half_np(fbar, budget=11**2 - 1)
+    with pytest.raises(BudgetExceeded):
+        l_polynomial(fbar, budget=11**2)
+    # d <= 2 enumerates nothing
+    assert half_np(reduce_mod_p(X2, 7), budget=0) == lower_hull(
+        [(0, 0), (1, F(1, 2))]
+    )
+    assert half_np(reduce_mod_p(Q(0, 1), 7), budget=0).vertices == ((0, 0),)
+
+
+def test_half_l_input_validation():
+    with pytest.raises(DegreeCharClash):
+        half_np(build_field(3, 1).poly([0, 0, 0, 1]))
+    with pytest.raises(ValueError):
+        half_np(build_field(3, 1).poly([1]))
+    fbar = reduce_mod_p(Q(0, 5, 0, -5, 0, 1), 11)
+    with pytest.raises(ValueError):
+        l_polynomial(fbar, verify=True, half=True)
+    half, full = l_polynomial(fbar, half=True), l_polynomial(fbar)
+    assert half.degree == full.degree == 4
+    assert half.coeffs == full.coeffs[:3]
+    with pytest.raises(ValueError):
+        LPolynomial(11, 1, 4, full.coeffs[:4])
+
+
+def test_half_l_polygon_checks_hodge_bound_on_computed_half():
+    one = CycInt.one(5)
+    # a_1 = 1 has v_pi = 0, below k(k+1)/(2d) = 1/3 for d = 3
+    with pytest.raises(InvariantViolation):
+        newton_polygon(LPolynomial(5, 1, 2, (one, one)))
+
+
+def stickelberger_polygon(d, p):
+    """NP of x^d at p from Stickelberger's theorem on Gauss sums: with r the
+    order of p mod d, each a = 1..d-1 gives one slope (1/r) sum_{i<r} {p^i a/d}."""
+    r = next(r for r in range(1, d + 1) if pow(p, r, d) == 1)
+    slopes = sorted(sum(F(pow(p, i, d) * a % d, d) for i in range(r)) / r for a in range(1, d))
+    points = [(F(0), F(0))]
+    for k, slope in enumerate(slopes, 1):
+        points.append((F(k), points[-1][1] + slope))
+    return lower_hull(points)
+
+
+@pytest.mark.parametrize(
+    "d,p", [(3, 10007), (3, 10009), (4, 503), (4, 509), (5, 211), (5, 223), (5, 227), (5, 229)]
+)
+def test_np_of_monomial_matches_stickelberger(d, p):
+    """Oracle only: np_at_prime still enumerates.  Every prime here is out of
+    the full path's reach, which enumerates F_{p^(d-1)}."""
+    assert p ** (d - 1) > DEFAULT_ENUM_BUDGET
+    xd = Q(*[0] * d, 1)
+    assert np_at_prime(xd, p) == stickelberger_polygon(d, p)
+
+
+def test_stickelberger_oracle_sanity():
+    assert stickelberger_polygon(3, 10007).slope_multiset() == ((F(1, 2), F(2)),)
+    assert stickelberger_polygon(3, 10009) == hodge_polygon(3)
+    for d, p in ((3, 5), (3, 7), (5, 11), (5, 7), (4, 7), (7, 5)):
+        assert np_at_prime(Q(*[0] * d, 1), p) == stickelberger_polygon(d, p), (d, p)
 
 
 def test_l_coefficients_are_galois_conjugates():

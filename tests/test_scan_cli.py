@@ -246,16 +246,18 @@ def test_cli_np_golden_line():
     assert res.stdout.splitlines()[1] == (
         "5,1,3,0/1:0/1;2/1:1/1,1/2:2/1,1/6,false,2,,true,1/2,"
     )
-    # these go through the Zech route: F_{71^2}, F_{23^3}, F_{23^4}, F_{29^3}, F_{29^4}
-    zech_rows = {
+    # goldens computed on the full L-path; x^3 at 10007 is beyond the full
+    # path's budget and matches the Stickelberger oracle in test_lfunction
+    pinned_rows = {
         ("x^3", "71"): "71,1,3,0/1:0/1;2/1:1/1,1/2:2/1,1/6,false,2,,true,1/2,",
         ("dickson(5,1)", "23"):
             "23,1,5,0/1:0/1;2/1:7/11;4/1:2/1,7/22:2/1;15/22:2/1,13/110,false,3,,true,7/22,",
         ("dickson(5,1)", "29"):
             "29,1,5,0/1:0/1;1/1:3/14;2/1:9/14;3/1:17/14;4/1:2/1,"
             "3/14:1/1;3/7:1/1;4/7:1/1;11/14:1/1,3/70,false,4,,false,,",
+        ("x^3", "10007"): "10007,1,3,0/1:0/1;2/1:1/1,1/2:2/1,1/6,false,2,,true,1/2,",
     }
-    for (poly, p), row in zech_rows.items():
+    for (poly, p), row in pinned_rows.items():
         res = cli("np", poly, p, "--no-timing")
         assert res.returncode == 0 and res.stdout.splitlines()[1] == row, (poly, p)
 
@@ -298,6 +300,10 @@ def test_cli_zeta():
     assert res.returncode == 0
     obj = json.loads(res.stdout)
     assert obj["p1"] == ["1", "0", "3"] and obj["genus"] == 1
+    # x + 7x^3 reduces to x mod 7: the genus is the reduced curve's, 0
+    res = cli("zeta", "0,1,0,7", "7")
+    assert res.returncode == 0
+    assert res.stdout == '{"p": 7, "q": 7, "genus": 0, "p1": ["1"]}\n'
 
 
 def test_cli_dickson_subcommands():
