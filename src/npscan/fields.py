@@ -295,19 +295,27 @@ class FiniteField:
     def frobenius(self, x: FieldElement) -> FieldElement:
         return x**self.p
 
+    def power_traces(self, n: int) -> tuple[int, ...]:
+        """Tr(x^k) for k = 0..n-1, each in 0..p-1.
+
+        Tr(x^k) is the k-th power sum of the modulus's roots, so Newton's
+        identities on the modulus x^e + c_1 x^(e-1) + ... + c_e give it:
+        P_k = -(c_1 P_(k-1) + ... + c_(k-1) P_1 + k c_k) for k <= e, and
+        P_k = -(c_1 P_(k-1) + ... + c_e P_(k-e)) beyond, with P_0 = e.
+        """
+        p, e = self.p, self.e
+        c = [self.modulus[e - j] for j in range(e + 1)]  # c[j] = c_j, c[0] = 1
+        sums = [e % p]
+        for k in range(1, n):
+            acc = k * c[k] if k <= e else 0
+            acc += sum(c[j] * sums[k - j] for j in range(1, min(k - 1, e) + 1))
+            sums.append(-acc % p)
+        return tuple(sums[:n])
+
     def trace_vector(self) -> tuple[int, ...]:
         """Traces of the power basis 1, x, ..., x^(e-1), each in 0..p-1."""
         if self._trace_vec is None:
-            vec = []
-            for i in range(self.e):
-                elt = self.gen() ** i if self.e > 1 else self.one()
-                acc, cur = elt, elt
-                for _ in range(self.e - 1):
-                    cur = self.frobenius(cur)
-                    acc = acc + cur
-                assert all(c == 0 for c in acc.coeffs[1:]), "trace must land in F_p"
-                vec.append(acc.coeffs[0])
-            self._trace_vec = tuple(vec)
+            self._trace_vec = self.power_traces(self.e)
         return self._trace_vec
 
     def trace(self, x: FieldElement) -> int:
@@ -387,21 +395,40 @@ class Embedding:
 
     It sends the generator of sub to the lexicographically smallest root of
     sub.modulus inside sup (low-degree-first coefficient comparison), so the
-    map is deterministic across runs.
+    map is deterministic across runs.  Elements of F_p map to themselves, so
+    the root is searched for only when an element outside F_p is mapped.
     """
 
-    def __init__(self, sub: FiniteField, sup: FiniteField, gen_image: FieldElement):
+    def __init__(self, sub: FiniteField, sup: FiniteField):
         self.sub = sub
         self.sup = sup
-        self.gen_image = gen_image
-        pows = [sup.one()]
+
+    @functools.cached_property
+    def gen_image(self) -> FieldElement:
+        sub, sup = self.sub, self.sup
+        if sub == sup:
+            return sup.gen()
+        from . import kernels  # deferred: kernels imports this module
+
+        root = sup.from_index(kernels.find_first_root(sup, sub.modulus))
+        # all roots form one Frobenius orbit; pick the smallest for determinism
+        orbit = [root]
         for _ in range(sub.e - 1):
-            pows.append(pows[-1] * gen_image)
-        self._gen_powers = tuple(pows)
+            orbit.append(sup.frobenius(orbit[-1]))
+        return min(orbit, key=lambda el: el.coeffs)
+
+    @functools.cached_property
+    def _gen_powers(self) -> tuple[FieldElement, ...]:
+        pows = [self.sup.one()]
+        for _ in range(self.sub.e - 1):
+            pows.append(pows[-1] * self.gen_image)
+        return tuple(pows)
 
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field != self.sub:
             raise FieldMismatch(f"{x!r} is not in {self.sub!r}")
+        if not any(x.coeffs[1:]):
+            return self.sup.element(x.coeffs[0])
         acc = self.sup.zero()
         for c, gp in zip(x.coeffs, self._gen_powers):
             if c:
@@ -419,18 +446,4 @@ def embed(sub: FiniteField, sup: FiniteField) -> Embedding:
     """Canonical embedding F_{p^e0} -> F_{p^e1}; requires e0 | e1."""
     if sub.p != sup.p or sup.e % sub.e != 0:
         raise NoEmbedding(f"no embedding {sub!r} -> {sup!r}")
-    if sub == sup:
-        return Embedding(sub, sup, sup.gen())
-    if sub.e == 1:
-        # prime field: c maps to c * 1, no root search needed
-        return Embedding(sub, sup, sup.zero())
-    from . import kernels  # deferred: kernels imports this module
-
-    idx = kernels.find_first_root(sup, sub.modulus)
-    root = sup.from_index(idx)
-    # all roots form one Frobenius orbit; pick the smallest for determinism
-    orbit = [root]
-    for _ in range(sub.e - 1):
-        orbit.append(sup.frobenius(orbit[-1]))
-    best = min(orbit, key=lambda el: el.coeffs)
-    return Embedding(sub, sup, best)
+    return Embedding(sub, sup)

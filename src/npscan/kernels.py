@@ -3,9 +3,9 @@
 All kernels do exact int64 arithmetic.  Values stay reduced below p between
 Horner steps, so the worst intermediate is bounded by e*(p-1)^2 after a
 coefficient convolution and by e*(e-1)*(p-1)^3 inside the modulus-reduction
-step; the entry guard checks both against 2^62 and falls back to the plain
-Python twin when a custom budget admits fields past the bound (the default
-budget of 1e8 elements never does).
+step; the entry guard checks both against 2^62 and raises BudgetExceeded for
+a field past the bound (F_p first fails at p = 2^31 + 11, far above the
+default budget of 1e8 elements), so no input yields wrapped numbers.
 
 Element number k of F_{p^e} has the base-p digits of k as its coefficient
 vector, least significant first, matching FiniteField.from_index.
@@ -19,16 +19,24 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .fields import FieldPolynomial, FiniteField
 
 _CHUNK = 1 << 16
 
 
-def _int64_safe(field: FiniteField) -> bool:
-    p, e = field.p, field.e
-    conv_max = e * (p - 1) ** 2 + (p - 1)
-    reduce_max = conv_max + (e - 1) * conv_max * (p - 1)
-    return reduce_max < 2**62
+def _int64_limit(e: int) -> int:
+    """Largest q = P^e whose Horner intermediates stay below 2^62."""
+
+    def worst(p: int) -> int:
+        conv_max = e * (p - 1) ** 2 + (p - 1)
+        return conv_max + (e - 1) * conv_max * (p - 1)
+
+    lo, hi = 2, 2**32  # worst(lo) < 2^62 <= worst(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if worst(mid) < 2**62 else (lo, mid)
+    return lo**e
 
 
 def _reduction_rows(field: FiniteField) -> np.ndarray:
@@ -69,45 +77,38 @@ def _mul_block(A: np.ndarray, B: np.ndarray, red: np.ndarray, p: int) -> np.ndar
 
 
 def eval_blocks(fbar: FieldPolynomial, chunk: int = _CHUNK) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, values) with f evaluated at every field element.
+    """Iterate (start_index, values) with f evaluated at every field element.
 
     Values come out as (n, e) coefficient matrices in enumeration order.
+    A field past the int64 bound raises BudgetExceeded here, before any
+    block is computed.
     """
     field = fbar.field
     p, e, q = field.p, field.e, field.q
-    if not _int64_safe(field):
-        yield from _eval_blocks_naive(fbar, chunk)
-        return
+    limit = _int64_limit(e)
+    if q > limit:
+        raise BudgetExceeded(q, limit)
     red = _reduction_rows(field)
     rows = fbar.int_rows()
     coeffs = np.array(rows, dtype=np.int64) if rows else np.zeros((0, e), dtype=np.int64)
     d = len(rows) - 1
-    for start in range(0, q, chunk):
-        stop = min(start + chunk, q)
-        E = _element_block(field, start, stop)
-        n = stop - start
-        if d < 0:
-            yield start, np.zeros((n, e), dtype=np.int64)
-            continue
-        V = np.tile(coeffs[d], (n, 1))
-        for k in range(d - 1, -1, -1):
-            V = _mul_block(V, E, red, p)
-            V += coeffs[k]
-            V %= p
-        yield start, V
 
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        for start in range(0, q, chunk):
+            stop = min(start + chunk, q)
+            E = _element_block(field, start, stop)
+            n = stop - start
+            if d < 0:
+                yield start, np.zeros((n, e), dtype=np.int64)
+                continue
+            V = np.tile(coeffs[d], (n, 1))
+            for k in range(d - 1, -1, -1):
+                V = _mul_block(V, E, red, p)
+                V += coeffs[k]
+                V %= p
+            yield start, V
 
-def _eval_blocks_naive(fbar: FieldPolynomial, chunk: int) -> Iterator[tuple[int, np.ndarray]]:
-    field = fbar.field
-    buf, start = [], 0
-    for k in range(field.q):
-        buf.append(fbar(field.from_index(k)).coeffs)
-        if len(buf) == chunk:
-            yield start, np.array(buf, dtype=np.int64)
-            start += len(buf)
-            buf = []
-    if buf:
-        yield start, np.array(buf, dtype=np.int64)
+    return blocks()
 
 
 def trace_histogram(fbar: FieldPolynomial, chunk: int = _CHUNK) -> list[int]:
@@ -120,9 +121,10 @@ def trace_histogram(fbar: FieldPolynomial, chunk: int = _CHUNK) -> list[int]:
 def _trace_histogram_horner(fbar: FieldPolynomial, chunk: int = _CHUNK) -> list[int]:
     field = fbar.field
     p = field.p
+    blocks = eval_blocks(fbar, chunk)  # checks the int64 bound before allocating
     tvec = np.array(field.trace_vector(), dtype=np.int64)
     hist = np.zeros(p, dtype=np.int64)
-    for _, V in eval_blocks(fbar, chunk):
+    for _, V in blocks:
         T = (V @ tvec) % p
         hist += np.bincount(T, minlength=p)
     return [int(v) for v in hist]
@@ -201,8 +203,7 @@ def _trace_powers(field: FiniteField) -> np.ndarray:
     """
     p, e, q = field.p, field.e, field.q
     red = _reduction_rows(field)
-    tvec = np.array(field.trace_vector(), dtype=np.int64)
-    tr_xk = np.concatenate([tvec, red @ tvec % p])  # Tr(x^k), k = 0..2e-2
+    tr_xk = np.array(field.power_traces(2 * e - 1), dtype=np.int64)
     H = tr_xk[np.add.outer(np.arange(e), np.arange(e))]
     g = _find_generator(field)
     B = math.isqrt(q - 1) + 1
@@ -240,9 +241,10 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
 def value_codes(fbar: FieldPolynomial, chunk: int = _CHUNK) -> np.ndarray:
     """f(x) for every x, encoded as integers sum_i c_i p^i (fits in int64)."""
     field = fbar.field
+    blocks = eval_blocks(fbar, chunk)  # checks the int64 bound before allocating
     weights = np.array([field.p**i for i in range(field.e)], dtype=np.int64)
     out = np.empty(field.q, dtype=np.int64)
-    for start, V in eval_blocks(fbar, chunk):
+    for start, V in blocks:
         out[start : start + V.shape[0]] = V @ weights
     return out
 

@@ -86,12 +86,8 @@ class LPolynomial:
 def _extension_histogram(fbar: FieldPolynomial, m: int) -> tuple[int, ...]:
     """Trace histogram of fbar pushed into F_{q^m}; cached per (fbar, m)."""
     base = fbar.field
-    if m == 1:
-        hist = kernels.trace_histogram(fbar)
-    else:
-        ext = build_field(base.p, base.e * m)
-        fext = embed(base, ext).map_poly(fbar)
-        hist = kernels.trace_histogram(fext)
+    ext = build_field(base.p, base.e * m)
+    hist = kernels.trace_histogram(embed(base, ext).map_poly(fbar))
     if sum(hist) != base.q**m:
         raise InvariantViolation("trace histogram does not sum to q^m")
     return tuple(hist)

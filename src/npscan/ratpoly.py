@@ -123,10 +123,6 @@ def to_strings(f: Sequence[Fraction]) -> list[str]:
     return [f"{c.numerator}/{c.denominator}" for c in f]
 
 
-def from_strings(items: Iterable[str]) -> QPoly:
-    return as_poly(Fraction(s) for s in items)
-
-
 def format_poly(f: QPoly, var: str = "x") -> str:
     if not f:
         return "0"

@@ -11,10 +11,13 @@ then cannot converge.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 an append-only JSON-lines cache keyed by a content hash skips recomputation.
+A record stores only what its prime's computation produced; the flags are
+derived from its polygon, so a cache line replays its stored fields only.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -86,20 +89,44 @@ class ScanOptions:
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One prime's worth of scan output; None fields mean "not computed"."""
+    """One prime's worth of scan output: what its computation produced.
+
+    polygon is None on an error row.  The columns read off the polygon
+    (gap, np_eq_hp, slope_mult_ge2, v0) are derived on first use, so a
+    record always agrees with its own vertices; they are None when the
+    polygon is.
+    """
 
     p: int
     c: int
     d: int
     polygon: ConvexPolygon | None
-    gap: Fraction | None
-    np_eq_hp: bool | None
-    p_mod_d: int
     admissible: bool | None
-    slope_mult_ge2: bool | None
-    v0: Fraction | None
     ms: int | None
     error: str | None = None
+
+    @property
+    def p_mod_d(self) -> int:
+        return self.p % self.d
+
+    @functools.cached_property
+    def gap(self) -> Fraction | None:
+        return None if self.polygon is None else vertical_gap(self.polygon, hodge_polygon(self.d))
+
+    @functools.cached_property
+    def np_eq_hp(self) -> bool | None:
+        return None if self.polygon is None else self.polygon == hodge_polygon(self.d)
+
+    @functools.cached_property
+    def v0(self) -> Fraction | None:
+        """The smallest slope of multiplicity >= 2, if any."""
+        if self.polygon is None:
+            return None
+        return next((s for s, length in self.polygon.slope_multiset() if length >= 2), None)
+
+    @property
+    def slope_mult_ge2(self) -> bool | None:
+        return None if self.polygon is None else self.v0 is not None
 
 
 @dataclass(frozen=True)
@@ -151,36 +178,14 @@ def scan_record(
     admissible = _admissible(p, hint)
     c_eff = char % p
     if c_eff == 0:
-        return ScanRecord(
-            p, char, d, None, None, None, p % d, admissible, None, None, None,
-            error="character index divisible by p",
-        )
+        return ScanRecord(p, char, d, None, admissible, None, "character index divisible by p")
     t0 = time.perf_counter()
     try:
         poly = np_at_prime(fq, p, c_eff, budget)
     except BudgetExceeded as exc:
-        return ScanRecord(
-            p, c_eff, d, None, None, None, p % d, admissible, None, None, None,
-            error=f"budget-exceeded: {exc}",
-        )
+        return ScanRecord(p, c_eff, d, None, admissible, None, f"budget-exceeded: {exc}")
     ms = int((time.perf_counter() - t0) * 1000) if timing else None
-    hp = hodge_polygon(d)
-    gap = vertical_gap(poly, hp)
-    multiset = poly.slope_multiset()
-    v0 = next((s for s, length in multiset if length >= 2), None)
-    return ScanRecord(
-        p=p,
-        c=c_eff,
-        d=d,
-        polygon=poly,
-        gap=gap,
-        np_eq_hp=poly == hp,
-        p_mod_d=p % d,
-        admissible=admissible,
-        slope_mult_ge2=v0 is not None,
-        v0=v0,
-        ms=ms,
-    )
+    return ScanRecord(p, c_eff, d, poly, admissible, ms)
 
 
 def validate_record(rec: ScanRecord) -> None:
@@ -202,18 +207,10 @@ def validate_record(rec: ScanRecord) -> None:
         raise InvariantViolation(f"p = {rec.p}: polygon does not end at (d-1, (d-1)/2)")
     if rec.p_mod_d == 1 and not rec.np_eq_hp:
         raise InvariantViolation(f"p = {rec.p} is 1 mod d but NP != HP")
-    if rec.admissible and not (
-        rec.slope_mult_ge2 and rec.gap is not None and rec.gap >= Fraction(1, 2 * d)
-    ):
+    if rec.admissible and not (rec.slope_mult_ge2 and rec.gap >= Fraction(1, 2 * d)):
         raise InvariantViolation(
             f"p = {rec.p} is admissible but lacks the repeated slope or the 1/(2d) gap"
         )
-
-
-def _scan_worker(args) -> ScanRecord:
-    f_strs, p, char, budget, hint = args
-    f = ratpoly.from_strings(f_strs)
-    return scan_record(f, p, char, budget, hint, timing=True)
 
 
 def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
@@ -240,14 +237,14 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
         else:
             todo.append(p)
 
+    compute = functools.partial(
+        scan_record, fq, char=opts.char, budget=opts.budget, hint=hint, timing=opts.timing
+    )
     if opts.jobs > 1 and len(todo) > 1:
-        args = [(ratpoly.to_strings(fq), p, opts.char, opts.budget, hint) for p in todo]
         with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-            for p, rec in zip(todo, pool.map(_scan_worker, args)):
-                records[p] = rec
+            records.update(zip(todo, pool.map(compute, todo)))
     else:
-        for p in todo:
-            records[p] = scan_record(fq, p, opts.char, opts.budget, hint, opts.timing)
+        records.update(zip(todo, map(compute, todo)))
 
     ordered = [records[p] for p in primes]
     computed = set(todo)
@@ -342,22 +339,13 @@ def record_to_json(rec: ScanRecord, timing: bool = True) -> dict:
 
 
 def record_from_json(obj: dict) -> ScanRecord:
-    poly = polygon_from_quads(obj["vertices"]) if obj.get("vertices") else None
-
-    def frac(pair):
-        return None if pair is None else Fraction(pair[0], pair[1])
-
+    """The stored fields of a JSON row; the derived columns are recomputed."""
     return ScanRecord(
         p=obj["p"],
         c=obj["c"],
         d=obj["d"],
-        polygon=poly,
-        gap=frac(obj.get("gap")),
-        np_eq_hp=obj.get("np_eq_hp"),
-        p_mod_d=obj["p_mod_d"],
+        polygon=polygon_from_quads(obj["vertices"]) if obj.get("vertices") else None,
         admissible=obj.get("admissible"),
-        slope_mult_ge2=obj.get("slope_mult_ge2"),
-        v0=frac(obj.get("v0")),
         ms=obj.get("ms"),
         error=obj.get("error"),
     )

@@ -102,14 +102,23 @@ def test_frobenius_is_pth_power_and_additive(p, e):
 @pytest.mark.parametrize("p,e", PRIME_POWERS_SMALL)
 def test_trace_matches_conjugate_sum(p, e):
     F = build_field(p, e)
-    for k in range(0, F.q, max(1, F.q // 13)):
-        x = F.from_index(k)
+
+    def conjugate_sum(x):
         acc, y = F.zero(), x
         for _ in range(e):
             acc = acc + y
             y = F.frobenius(y)
         assert acc.coeffs[1:] == (0,) * (e - 1)  # trace lands in F_p
-        assert F.trace(x) == acc.coeffs[0]
+        return acc.coeffs[0]
+
+    for k in range(0, F.q, max(1, F.q // 13)):
+        x = F.from_index(k)
+        assert F.trace(x) == conjugate_sum(x)
+    # Tr(x^k) up to the degree of a product of two basis elements, as the
+    # Zech table's bilinear form reads it
+    assert F.power_traces(2 * e - 1) == tuple(
+        conjugate_sum(F.gen() ** k) for k in range(2 * e - 1)
+    )
 
 
 def test_trace_fibers_are_uniform():
@@ -163,6 +172,20 @@ def test_embedding_preserves_trace_composition():
     for k in range(5):
         x = sub.from_index(k)
         assert sup.trace(phi(x)) == (3 * sub.trace(x)) % 5
+
+
+def test_embedding_of_prime_field_coefficients_needs_no_root(monkeypatch):
+    """F_p is fixed by every embedding, so no root of the modulus is sought."""
+    from npscan import kernels
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("root search")
+
+    monkeypatch.setattr(kernels, "find_first_root", no_search)
+    embed.cache_clear()
+    sub, sup = build_field(3, 2), build_field(3, 4)
+    f = sub.poly([2, 0, 1, 1])
+    assert embed(sub, sup).map_poly(f) == sup.poly([2, 0, 1, 1])
 
 
 def test_no_embedding_when_degrees_incompatible():

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from npscan import kernels
+from npscan.errors import BudgetExceeded
 from npscan.fields import build_field
 
 
@@ -141,3 +142,16 @@ def test_element_block_matches_from_index():
     blk = kernels._element_block(F, 17, 40)
     for row, k in zip(blk, range(17, 40)):
         assert tuple(int(v) for v in row) == F.from_index(k).coeffs
+
+
+def test_int64_bound_fails_loudly():
+    """F_p at p = 2^31 + 11 is the first prime field past the int64 bound."""
+    fbar = build_field(2147483659, 1).poly([0, 0, 0, 1])
+    with pytest.raises(BudgetExceeded):
+        kernels.eval_blocks(fbar)  # on the call, before any block
+    with pytest.raises(BudgetExceeded):
+        kernels.trace_histogram(fbar)
+    with pytest.raises(BudgetExceeded):
+        kernels.value_codes(fbar)
+    # the largest F_p inside the bound still evaluates
+    assert next(kernels.eval_blocks(build_field(2147483647, 1).poly([1]), chunk=4))[0] == 0

@@ -58,7 +58,8 @@ def test_shift():
 
 def test_string_roundtrip():
     f = P(F(1, 3), -2, 1)
-    assert rp.from_strings(rp.to_strings(f)) == f
+    assert rp.to_strings(f) == ["1/3", "-2/1", "1/1"]
+    assert rp.as_poly(F(s) for s in rp.to_strings(f)) == f
 
 
 def test_format_poly():

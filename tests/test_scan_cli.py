@@ -7,6 +7,8 @@ exit codes, and stream separation are exercised exactly as a user sees them.
 import dataclasses
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -35,6 +37,7 @@ from npscan.scan import (
     validate_record,
     write_csv,
 )
+import npscan
 from npscan import ratpoly
 
 F = Fraction
@@ -42,12 +45,18 @@ X3 = (F(0), F(0), F(0), F(1))
 HEADER = "p,c,d,vertices,slopes,gap,np_eq_hp,p_mod_d,admissible,slope_mult_ge2,v0,ms"
 
 
+# the subprocess imports the same npscan as these tests, installed or not
+PKG_ROOT = str(pathlib.Path(npscan.__file__).resolve().parents[1])
+
+
 def cli(*args):
+    path = os.pathsep.join(filter(None, [PKG_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "npscan.cli", *args],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -133,9 +142,9 @@ def test_validate_record_violations():
     # claim admissibility without the witnesses
     with pytest.raises(InvariantViolation):
         validate_record(dataclasses.replace(r7, admissible=True))
-    # claim p = 1 mod d while NP != HP
+    # p = 7 is 1 mod d, so NP != HP there is a violation
     with pytest.raises(InvariantViolation):
-        validate_record(dataclasses.replace(r5, p_mod_d=1))
+        validate_record(dataclasses.replace(r7, polygon=r5.polygon))
     # polygon missing the forced endpoint (d-1, (d-1)/2)
     bad_end = lower_hull([(0, 0), (2, F(5, 4))])
     with pytest.raises(InvariantViolation):
@@ -188,6 +197,36 @@ def test_cache_version_mismatch_is_a_miss(tmp_path):
         fp.write(json.dumps(entry) + "\n")
     assert cache_load(path).get(key) is None
     assert CACHE_VERSION == "npscan-cache-1"
+
+
+def test_cache_replay_derives_columns_from_vertices(tmp_path):
+    """A cache line's gap/np_eq_hp/... are not trusted: they follow its vertices."""
+    path = str(tmp_path / "cache.jsonl")
+    key = cache_key(X3, 5, 1)
+    entry = {"key": key, "version": CACHE_VERSION, "record": record_to_json(scan_record(X3, 5))}
+    entry["record"].update(
+        gap=[0, 1], np_eq_hp=True, p_mod_d=1, slope_mult_ge2=False, v0=None
+    )
+    with open(path, "w") as fp:
+        fp.write(json.dumps(entry) + "\n")
+    rec = cache_load(path)[key]
+    assert (rec.gap, rec.np_eq_hp, rec.p_mod_d) == (F(1, 6), False, 2)
+    assert (rec.slope_mult_ge2, rec.v0) == (True, F(1, 2))
+    replayed, summary = run_scan(X3, ScanOptions(p_max=5, timing=False, cache_path=path))
+    assert replayed[-1].polygon == rec.polygon and replayed[-1].np_eq_hp is False
+    assert (summary.n_np_eq_hp, summary.n_gap_witness) == (0, 2)
+
+
+def test_cache_written_by_jobs_matches_serial(tmp_path):
+    """--jobs computes through the same call as a serial scan, timing included."""
+    def cache_text(jobs):
+        path = tmp_path / f"cache{jobs}.jsonl"
+        run_scan(X3, ScanOptions(p_max=13, jobs=jobs, timing=False, cache_path=str(path)))
+        return path.read_text()
+
+    serial = cache_text(1)
+    assert all(json.loads(line)["record"]["ms"] is None for line in serial.splitlines())
+    assert cache_text(2) == serial
 
 
 def test_scan_replays_from_cache(tmp_path):
@@ -293,6 +332,12 @@ def test_cli_exit_codes():
     assert cli("np", "x^3", "3").returncode == 2  # bad place: p | d
     assert cli("np", "x^5", "11", "--budget", "10").returncode == 3
     assert cli("crosscheck", "x^2", "3").returncode == 0
+
+
+def test_cli_np_past_int64_bound_exits_3():
+    res = cli("np", "x^3", "2147483659", "--budget", "10000000000")
+    assert res.returncode == 3
+    assert "budget-exceeded" in res.stderr
 
 
 def test_cli_zeta():

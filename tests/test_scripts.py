@@ -1,0 +1,46 @@
+"""Smoke tests for the command-line scripts under scripts/.
+
+Each script is loaded from its file and its main() called with small
+bounds, so the test runs in seconds and writes only into tmp_path.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def demo():
+    return load("oscillation_demo")
+
+
+def test_oscillation_demo_jobs_write_identical_csvs(demo, tmp_path, capsys):
+    def csv_rows(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["--p-max", "30", "--quintic-p-max", "20", "--jobs", str(jobs)]
+        assert demo.main(argv + ["--out-dir", str(out)]) == 0
+        # the last column is the wall time of each row, which differs by run
+        texts = {tag: (out / f"scan_{tag}.csv").read_text() for tag in ("x3", "d5")}
+        return {tag: [row.rsplit(",", 1)[0] for row in text.splitlines()]
+                for tag, text in texts.items()}
+
+    serial = csv_rows(1)
+    assert csv_rows(2) == serial
+    assert len(serial["x3"]) == 1 + 9 and len(serial["d5"]) == 1 + 7
+    assert capsys.readouterr().out.count("verdict: oscillates (limit cannot exist)") == 4
+
+
+def test_crosscheck_grid_one_cell(capsys):
+    grid = load("crosscheck_grid")
+    assert grid.main(["--primes", "3", "--degrees", "2", "--per-cell", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"
