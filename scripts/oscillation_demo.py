@@ -10,6 +10,9 @@ Scans two polynomials across all good primes up to a bound:
   * f = D_5(x, 1) = x^5 - 5x^3 + 5x: same story with admissible primes
     supplying the repeated slope and the >= 1/10 gap.
 
+The CSV reports leave the wall-time ms column empty, so a rerun, with any
+--jobs, writes the same bytes.
+
 Usage:
     python scripts/oscillation_demo.py --out-dir out/
     python scripts/oscillation_demo.py --p-max 200 --quintic-p-max 40
@@ -47,7 +50,8 @@ def main(argv=None):
     ]
     for tag, f, bound in targets:
         out_path = os.path.join(args.out_dir, f"scan_{tag}.csv")
-        records, summary = run_scan(f, ScanOptions(p_max=bound, jobs=args.jobs))
+        opts = ScanOptions(p_max=bound, jobs=args.jobs, timing=False)
+        records, summary = run_scan(f, opts)
         with open(out_path, "w") as fp:
             write_csv(records, fp)
         hp_ps = [r.p for r in records if r.np_eq_hp]

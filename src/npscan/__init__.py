@@ -69,10 +69,6 @@ from .polygons import (
     hodge_polygon,
     lies_above,
     lower_hull,
-    polygon_from_quads,
-    polygon_from_str,
-    polygon_to_quads,
-    polygon_to_str,
     slope_length,
     vertical_gap,
 )

@@ -124,16 +124,17 @@ def _parse_hint(text: str):
     return DicksonSpec(int(parts[0]), Fraction(parts[1]))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_budget(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+                        help="max field elements to enumerate per object")
+
+
+def _add_record_options(parser: argparse.ArgumentParser) -> None:
+    """Options of the subcommands that print scan records (np, scan)."""
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--char", type=int, default=1, metavar="C",
                         help="character index c of chi_c (default 1)")
-    parser.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
-                        help="max field elements to enumerate per object")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for scans")
-    parser.add_argument("--cache", metavar="PATH", default=None,
-                        help="JSON-lines record cache (appended to)")
+    _add_budget(parser)
     parser.add_argument("--no-timing", action="store_true",
                         help="blank the ms column for reproducible output")
 
@@ -145,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_np = sub.add_parser("np", help="Newton polygon at one prime")
     p_np.add_argument("poly")
     p_np.add_argument("p", type=int)
-    _add_common(p_np)
+    _add_record_options(p_np)
     p_np.set_defaults(func=cmd_np)
 
     p_scan = sub.add_parser("scan", help="scan primes up to a bound")
@@ -155,7 +156,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="treat (n, a) as the scan's Dickson factor")
     p_scan.add_argument("--no-auto-hint", action="store_true",
                         help="do not search f for a Dickson factor")
-    _add_common(p_scan)
+    _add_record_options(p_scan)
+    p_scan.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for scans")
+    p_scan.add_argument("--cache", metavar="PATH", default=None,
+                        help="JSON-lines record cache (appended to)")
     p_scan.set_defaults(func=cmd_scan)
 
     p_cc = sub.add_parser("crosscheck", help="consistency battery at one prime")
@@ -163,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cc.add_argument("p", type=int)
     p_cc.add_argument("--base-change", type=int, default=2, metavar="N",
                       help="extension degree for the base-change check")
-    _add_common(p_cc)
+    _add_budget(p_cc)
     p_cc.set_defaults(func=cmd_crosscheck)
 
     p_dk = sub.add_parser("dickson", help="Dickson polynomial utilities")
@@ -192,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_z.add_argument("poly")
     p_z.add_argument("p", type=int)
     p_z.add_argument("-e", type=int, default=1)
-    p_z.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    _add_budget(p_z)
     p_z.set_defaults(func=cmd_zeta)
 
     return top
@@ -207,9 +212,9 @@ def cmd_np(args) -> int:
         return 3 if rec.error.startswith("budget") else 2
     scan.validate_record(rec)
     if args.format == "json":
-        print(json.dumps(scan.record_to_json(rec, timing=not args.no_timing)))
+        print(json.dumps(scan.record_to_json(rec)))
     else:
-        scan.write_csv([rec], sys.stdout, timing=not args.no_timing)
+        scan.write_csv([rec], sys.stdout)
     return 0
 
 
@@ -227,13 +232,12 @@ def cmd_scan(args) -> int:
         timing=not args.no_timing,
     )
     records, summary = scan.run_scan(f, opts)
-    timing = not args.no_timing
     if args.format == "json":
         for rec in records:
-            print(json.dumps(scan.record_to_json(rec, timing=timing)))
+            print(json.dumps(scan.record_to_json(rec)))
         print(json.dumps(scan.summary_to_json(summary)))
     else:
-        scan.write_csv(records, sys.stdout, timing=timing)
+        scan.write_csv(records, sys.stdout)
         print(f"# verdict: {summary.verdict}", file=sys.stderr)
         print(
             f"# rows={summary.n_rows} np_eq_hp={summary.n_np_eq_hp}"

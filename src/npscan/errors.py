@@ -2,7 +2,9 @@
 
 Every error the library raises on purpose derives from NpscanError, so the
 CLI can map failures to stable exit codes: bad input or a bad place is 2,
-a blown enumeration budget is 3, a violated theorem-backed invariant is 4.
+a blown enumeration budget (BudgetExceeded) is 3, and a theorem-backed
+invariant failing on computed data is 4: InvariantViolation and its
+subclass InternalDivisibility.  Every other NpscanError exits 2.
 """
 
 from __future__ import annotations
@@ -45,14 +47,6 @@ class NotDivisible(NpscanError):
     """Exact integer division failed; signals a logic error upstream."""
 
 
-class InternalDivisibility(NpscanError):
-    """A Newton-identity recurrence produced a non-integral coefficient.
-
-    Never expected: the recurrences divide exactly for genuine point counts
-    and exponential sums, so this means corrupted input or a bug.
-    """
-
-
 class NotAUnit(NpscanError):
     """A Galois index c was not invertible mod p."""
 
@@ -91,3 +85,11 @@ class DomainMismatch(NpscanError):
 
 class InvariantViolation(NpscanError):
     """A theorem-backed invariant failed on computed data; build-failing."""
+
+
+class InternalDivisibility(InvariantViolation):
+    """A Newton-identity recurrence produced a non-integral coefficient.
+
+    Never expected: the recurrences divide exactly for genuine point counts
+    and exponential sums, so this means corrupted input or a bug.
+    """

@@ -195,14 +195,9 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             raise ValueError("negative exponents are not supported")
-        result = self.field.one()
-        cur = self
-        while n:
-            if n & 1:
-                result = result * cur
-            cur = cur * cur
-            n >>= 1
-        return result
+        f = self.field
+        power = _powmod(self.coeffs, n, f.modulus, f.p)
+        return FieldElement(f, tuple(power) + (0,) * (f.e - len(power)))
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -76,7 +76,7 @@ def _mul_block(A: np.ndarray, B: np.ndarray, red: np.ndarray, p: int) -> np.ndar
     return low % p
 
 
-def eval_blocks(fbar: FieldPolynomial, chunk: int = _CHUNK) -> Iterator[tuple[int, np.ndarray]]:
+def eval_blocks(fbar: FieldPolynomial) -> Iterator[tuple[int, np.ndarray]]:
     """Iterate (start_index, values) with f evaluated at every field element.
 
     Values come out as (n, e) coefficient matrices in enumeration order.
@@ -94,8 +94,8 @@ def eval_blocks(fbar: FieldPolynomial, chunk: int = _CHUNK) -> Iterator[tuple[in
     d = len(rows) - 1
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        for start in range(0, q, chunk):
-            stop = min(start + chunk, q)
+        for start in range(0, q, _CHUNK):
+            stop = min(start + _CHUNK, q)
             E = _element_block(field, start, stop)
             n = stop - start
             if d < 0:
@@ -111,17 +111,17 @@ def eval_blocks(fbar: FieldPolynomial, chunk: int = _CHUNK) -> Iterator[tuple[in
     return blocks()
 
 
-def trace_histogram(fbar: FieldPolynomial, chunk: int = _CHUNK) -> list[int]:
+def trace_histogram(fbar: FieldPolynomial) -> list[int]:
     """Counts t_a = #{x in F_q : Tr(f(x)) = a}, indexed by a in 0..p-1."""
     if ZECH_MIN_Q <= fbar.field.q <= ZECH_MAX_Q and _prime_field_coeffs(fbar):
         return _trace_histogram_zech(fbar)
-    return _trace_histogram_horner(fbar, chunk)
+    return _trace_histogram_horner(fbar)
 
 
-def _trace_histogram_horner(fbar: FieldPolynomial, chunk: int = _CHUNK) -> list[int]:
+def _trace_histogram_horner(fbar: FieldPolynomial) -> list[int]:
     field = fbar.field
     p = field.p
-    blocks = eval_blocks(fbar, chunk)  # checks the int64 bound before allocating
+    blocks = eval_blocks(fbar)  # checks the int64 bound before allocating
     tvec = np.array(field.trace_vector(), dtype=np.int64)
     hist = np.zeros(p, dtype=np.int64)
     for _, V in blocks:
@@ -238,10 +238,10 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
     return [int(v) for v in hist]
 
 
-def value_codes(fbar: FieldPolynomial, chunk: int = _CHUNK) -> np.ndarray:
+def value_codes(fbar: FieldPolynomial) -> np.ndarray:
     """f(x) for every x, encoded as integers sum_i c_i p^i (fits in int64)."""
     field = fbar.field
-    blocks = eval_blocks(fbar, chunk)  # checks the int64 bound before allocating
+    blocks = eval_blocks(fbar)  # checks the int64 bound before allocating
     weights = np.array([field.p**i for i in range(field.e)], dtype=np.int64)
     out = np.empty(field.q, dtype=np.int64)
     for start, V in blocks:
@@ -249,16 +249,16 @@ def value_codes(fbar: FieldPolynomial, chunk: int = _CHUNK) -> np.ndarray:
     return out
 
 
-def distinct_value_count(fbar: FieldPolynomial, chunk: int = _CHUNK) -> int:
+def distinct_value_count(fbar: FieldPolynomial) -> int:
     """Size of the image of fbar on its whole field."""
-    return int(np.unique(value_codes(fbar, chunk)).size)
+    return int(np.unique(value_codes(fbar)).size)
 
 
-def find_first_root(field: FiniteField, int_coeffs: tuple[int, ...], chunk: int = _CHUNK) -> int:
+def find_first_root(field: FiniteField, int_coeffs: tuple[int, ...]) -> int:
     """Index of the first element (in enumeration order) killing the polynomial
     with the given prime-subfield coefficients; raises if there is none."""
     fbar = field.poly(list(int_coeffs))
-    for start, V in eval_blocks(fbar, chunk):
+    for start, V in eval_blocks(fbar):
         zero_rows = np.nonzero(~V.any(axis=1))[0]
         if zero_rows.size:
             return start + int(zero_rows[0])

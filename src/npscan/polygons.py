@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainMismatch, MissingOrigin
 
@@ -129,35 +129,3 @@ def lies_above(p: ConvexPolygon, q: ConvexPolygon) -> bool:
     """True when p(x) >= q(x) at every vertex of either polygon."""
     return all(p.evaluate(x) >= q.evaluate(x) for x in _shared_xs(p, q))
 
-
-# ---------------------------------------------------------------------------
-# serialization: "x0n/x0d:y0n/y0d;x1n/x1d:y1n/y1d;..." for CSV cells, and
-# [xn, xd, yn, yd] integer quadruples for JSON.
-
-
-def polygon_to_str(poly: ConvexPolygon) -> str:
-    return ";".join(
-        f"{x.numerator}/{x.denominator}:{y.numerator}/{y.denominator}"
-        for x, y in poly.vertices
-    )
-
-
-def polygon_from_str(s: str) -> ConvexPolygon:
-    vertices = []
-    for part in s.split(";"):
-        xs, ys = part.split(":")
-        vertices.append((Fraction(xs), Fraction(ys)))
-    return ConvexPolygon(tuple(vertices))
-
-
-def polygon_to_quads(poly: ConvexPolygon) -> list[list[int]]:
-    return [
-        [x.numerator, x.denominator, y.numerator, y.denominator]
-        for x, y in poly.vertices
-    ]
-
-
-def polygon_from_quads(quads: Sequence[Sequence[int]]) -> ConvexPolygon:
-    return ConvexPolygon(tuple(
-        (Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in quads
-    ))

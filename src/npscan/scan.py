@@ -10,7 +10,8 @@ both an NP = HP prime and a gap >= 1/(2d) prime were seen: the polygons
 then cannot converge.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
-an append-only JSON-lines cache keyed by a content hash skips recomputation.
+this module is the only one that writes a record or reads one back.  An
+append-only JSON-lines cache keyed by a content hash skips recomputation.
 A record stores only what its prime's computation produced; the flags are
 derived from its polygon, so a cache line replays its stored fields only.
 """
@@ -31,15 +32,7 @@ from . import ratpoly
 from .dickson import DicksonSpec, find_dickson_factor, is_admissible
 from .errors import BudgetExceeded, InvariantViolation
 from .lfunction import np_at_prime
-from .polygons import (
-    ConvexPolygon,
-    hodge_polygon,
-    lies_above,
-    polygon_from_quads,
-    polygon_to_quads,
-    polygon_to_str,
-    vertical_gap,
-)
+from .polygons import ConvexPolygon, hodge_polygon, lies_above, vertical_gap
 
 CACHE_VERSION = "npscan-cache-1"
 
@@ -232,8 +225,11 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
     for p in primes:
         cached = cache.get(cache_key(fq, p, opts.char))
         if cached is not None:
-            # admissible depends on this scan's hint, which the key leaves out
-            records[p] = replace(cached, admissible=_admissible(p, hint))
+            # admissible depends on this scan's hint, which the key leaves out;
+            # ms is settled here, so the renderers print what the record holds
+            records[p] = replace(
+                cached, admissible=_admissible(p, hint), ms=cached.ms if opts.timing else None
+            )
         else:
             todo.append(p)
 
@@ -274,77 +270,70 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
 
 
 # ---------------------------------------------------------------------------
-# rendering: exact strings only, no floats
+# rendering: exact strings only, no floats.  A value is None, a bool, a
+# Fraction, a sequence of Fraction pairs (vertices, slopes) or an int; pairs
+# are "a/b:c/d;..." in a CSV cell and [[a, b, c, d], ...] in JSON.
 
 
-def _frac_str(x: Fraction | None) -> str:
-    return "" if x is None else f"{x.numerator}/{x.denominator}"
-
-
-def _frac_pair(x: Fraction | None) -> list[int] | None:
-    return None if x is None else [x.numerator, x.denominator]
-
-
-def _bool_str(b: bool | None) -> str:
-    return "" if b is None else ("true" if b else "false")
-
-
-def _slopes_str(poly: ConvexPolygon | None) -> str:
-    if poly is None:
-        return ""
-    return ";".join(
-        f"{s.numerator}/{s.denominator}:{l.numerator}/{l.denominator}"
-        for s, l in poly.slope_multiset()
+def record_values(rec: ScanRecord) -> tuple:
+    """The record's values in CSV_COLUMNS order."""
+    poly = rec.polygon
+    return (
+        rec.p,
+        rec.c,
+        rec.d,
+        None if poly is None else poly.vertices,
+        None if poly is None else poly.slope_multiset(),
+        rec.gap,
+        rec.np_eq_hp,
+        rec.p_mod_d,
+        rec.admissible,
+        rec.slope_mult_ge2,
+        rec.v0,
+        rec.ms,
     )
 
 
-def record_to_row(rec: ScanRecord, timing: bool = True) -> list[str]:
-    return [
-        str(rec.p),
-        str(rec.c),
-        str(rec.d),
-        polygon_to_str(rec.polygon) if rec.polygon is not None else "",
-        _slopes_str(rec.polygon),
-        _frac_str(rec.gap),
-        _bool_str(rec.np_eq_hp),
-        str(rec.p_mod_d),
-        _bool_str(rec.admissible),
-        _bool_str(rec.slope_mult_ge2),
-        _frac_str(rec.v0),
-        str(rec.ms) if (timing and rec.ms is not None) else "",
-    ]
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, tuple):
+        return ";".join(f"{_csv_cell(a)}:{_csv_cell(b)}" for a, b in v)
+    return str(v)
 
 
-def record_to_json(rec: ScanRecord, timing: bool = True) -> dict:
-    return {
-        "p": rec.p,
-        "c": rec.c,
-        "d": rec.d,
-        "vertices": polygon_to_quads(rec.polygon) if rec.polygon is not None else None,
-        "slopes": None
-        if rec.polygon is None
-        else [
-            [s.numerator, s.denominator, l.numerator, l.denominator]
-            for s, l in rec.polygon.slope_multiset()
-        ],
-        "gap": _frac_pair(rec.gap),
-        "np_eq_hp": rec.np_eq_hp,
-        "p_mod_d": rec.p_mod_d,
-        "admissible": rec.admissible,
-        "slope_mult_ge2": rec.slope_mult_ge2,
-        "v0": _frac_pair(rec.v0),
-        "ms": rec.ms if timing else None,
-        "error": rec.error,
-    }
+def _json_value(v):
+    if isinstance(v, Fraction):
+        return [v.numerator, v.denominator]
+    if isinstance(v, tuple):
+        return [[*_json_value(a), *_json_value(b)] for a, b in v]
+    return v  # None, bool, int
+
+
+def record_to_row(rec: ScanRecord) -> list[str]:
+    return [_csv_cell(v) for v in record_values(rec)]
+
+
+def record_to_json(rec: ScanRecord) -> dict:
+    row = {name: _json_value(v) for name, v in zip(CSV_COLUMNS, record_values(rec))}
+    row["error"] = rec.error
+    return row
 
 
 def record_from_json(obj: dict) -> ScanRecord:
     """The stored fields of a JSON row; the derived columns are recomputed."""
+    quads = obj.get("vertices")
     return ScanRecord(
         p=obj["p"],
         c=obj["c"],
         d=obj["d"],
-        polygon=polygon_from_quads(obj["vertices"]) if obj.get("vertices") else None,
+        polygon=ConvexPolygon(tuple(
+            (Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in quads
+        )) if quads else None,
         admissible=obj.get("admissible"),
         ms=obj.get("ms"),
         error=obj.get("error"),
@@ -371,11 +360,10 @@ def summary_to_json(s: ScanSummary) -> dict:
     }
 
 
-def write_csv(records: Sequence[ScanRecord], fp: IO[str], timing: bool = True) -> None:
+def write_csv(records: Sequence[ScanRecord], fp: IO[str]) -> None:
     fp.write(",".join(CSV_COLUMNS) + "\n")
-    for rec in records:
-        fp.write(",".join('"' + cell + '"' if "," in cell else cell
-                          for cell in record_to_row(rec, timing)) + "\n")
+    for rec in records:  # no encoded cell holds a comma, so none is quoted
+        fp.write(",".join(record_to_row(rec)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -154,4 +154,4 @@ def test_int64_bound_fails_loudly():
     with pytest.raises(BudgetExceeded):
         kernels.value_codes(fbar)
     # the largest F_p inside the bound still evaluates
-    assert next(kernels.eval_blocks(build_field(2147483647, 1).poly([1]), chunk=4))[0] == 0
+    assert next(kernels.eval_blocks(build_field(2147483647, 1).poly([1])))[0] == 0

@@ -1,4 +1,4 @@
-"""Lower hulls, Hodge polygons, gaps, and the string/quad serializations."""
+"""Lower hulls, Hodge polygons and gaps."""
 
 from fractions import Fraction
 
@@ -11,13 +11,10 @@ from npscan.polygons import (
     hodge_polygon,
     lies_above,
     lower_hull,
-    polygon_from_quads,
-    polygon_from_str,
-    polygon_to_quads,
-    polygon_to_str,
     slope_length,
     vertical_gap,
 )
+from npscan.scan import ScanRecord, record_from_json, record_to_json
 
 F = Fraction
 
@@ -89,23 +86,6 @@ def test_evaluate_and_gap():
         vertical_gap(np_, hodge_polygon(4))
 
 
-def test_serialization_roundtrip():
-    poly = lower_hull([(0, 0), (1, F(1, 3)), (2, 1)])
-    s = polygon_to_str(poly)
-    assert s == "0/1:0/1;1/1:1/3;2/1:1/1"
-    assert polygon_from_str(s) == poly
-    quads = polygon_to_quads(poly)
-    assert quads == [[0, 1, 0, 1], [1, 1, 1, 3], [2, 1, 1, 1]]
-    assert polygon_from_quads(quads) == poly
-
-
-def test_deserialization_validates():
-    with pytest.raises(MissingOrigin):
-        polygon_from_str("1/1:0/1")
-    with pytest.raises(ValueError):
-        polygon_from_quads([[0, 1, 0, 1], [1, 1, 2, 1], [2, 1, 3, 1]])
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     st.lists(
@@ -131,6 +111,6 @@ def test_hull_properties(pts):
     assert all(a < b for a, b in zip(slopes, slopes[1:]))
     # slope lengths cover the width
     assert sum(l for _, l in poly.slope_multiset()) == poly.width
-    # serialization round-trips
-    assert polygon_from_str(polygon_to_str(poly)) == poly
-    assert polygon_from_quads(polygon_to_quads(poly)) == poly
+    # a record of this polygon round-trips through its JSON row
+    rec = ScanRecord(2, 1, int(poly.width) + 1, poly, None, None)
+    assert record_from_json(record_to_json(rec)) == rec

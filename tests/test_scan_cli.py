@@ -15,15 +15,18 @@ from fractions import Fraction
 
 import pytest
 
-from npscan.cli import parse_poly
+from npscan import lfunction
+from npscan.cli import main, parse_poly
+from npscan.cyclotomic import CycInt
 from npscan.dickson import DicksonSpec, dickson
-from npscan.errors import InvariantViolation
+from npscan.errors import InvariantViolation, MissingOrigin
 from npscan.polygons import lower_hull
 from npscan.scan import (
     CACHE_VERSION,
     VERDICT_NO_WITNESS,
     VERDICT_OSCILLATES,
     ScanOptions,
+    ScanRecord,
     cache_load,
     cache_key,
     cache_put,
@@ -113,9 +116,9 @@ def test_scan_dickson5_oscillates():
 
 def test_csv_deterministic_across_jobs():
     def csv_text(jobs):
-        records, _ = run_scan(X3, ScanOptions(p_max=20, jobs=jobs))
+        records, _ = run_scan(X3, ScanOptions(p_max=20, jobs=jobs, timing=False))
         buf = io.StringIO()
-        write_csv(records, buf, timing=False)
+        write_csv(records, buf)
         return buf.getvalue()
 
     assert csv_text(1) == csv_text(2)
@@ -159,6 +162,29 @@ def test_record_json_roundtrip():
     records, _ = run_scan(X3, ScanOptions(p_max=10))
     for rec in records:
         assert record_from_json(record_to_json(rec)) == rec
+
+
+def test_record_cells_and_quads():
+    rec = ScanRecord(7, 1, 3, lower_hull([(0, 0), (1, F(1, 3)), (2, 1)]), None, 12)
+    assert record_to_row(rec) == [
+        "7", "1", "3", "0/1:0/1;1/1:1/3;2/1:1/1", "1/3:1/1;2/3:1/1",
+        "0/1", "true", "1", "", "false", "", "12",
+    ]
+    obj = record_to_json(rec)
+    assert obj["vertices"] == [[0, 1, 0, 1], [1, 1, 1, 3], [2, 1, 1, 1]]
+    assert obj["slopes"] == [[1, 3, 1, 1], [2, 3, 1, 1]]
+    assert (obj["gap"], obj["v0"], obj["ms"], obj["error"]) == ([0, 1], None, 12, None)
+    assert list(obj) == HEADER.split(",") + ["error"]
+    err = ScanRecord(5, 5, 3, None, True, None, "character index divisible by p")
+    assert record_to_row(err) == ["5", "5", "3", "", "", "", "", "2", "true", "", "", ""]
+
+
+def test_record_from_json_validates_vertices():
+    obj = record_to_json(scan_record(X3, 5))
+    with pytest.raises(MissingOrigin):
+        record_from_json({**obj, "vertices": [[1, 1, 0, 1]]})
+    with pytest.raises(ValueError):  # slopes 2, 1: not convex
+        record_from_json({**obj, "vertices": [[0, 1, 0, 1], [1, 1, 2, 1], [2, 1, 3, 1]]})
 
 
 def test_verdict_strings_exact():
@@ -227,6 +253,24 @@ def test_cache_written_by_jobs_matches_serial(tmp_path):
     serial = cache_text(1)
     assert all(json.loads(line)["record"]["ms"] is None for line in serial.splitlines())
     assert cache_text(2) == serial
+
+
+def test_timed_cache_replayed_without_timing_prints_no_ms(tmp_path, capsys):
+    """--no-timing settles ms when the record is made, cache replays included."""
+    path = str(tmp_path / "cache.jsonl")
+    assert main(["scan", "x^3", "--p-max", "13", "--cache", path]) == 0
+    with open(path) as fp:
+        assert all(isinstance(json.loads(line)["record"]["ms"], int) for line in fp)
+    capsys.readouterr()
+    replay = ["scan", "x^3", "--p-max", "13", "--cache", path, "--no-timing"]
+    assert main(replay) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",") for row in rows)
+    assert main(replay + ["--format", "json"]) == 0
+    objs = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert len(objs) == 5 and all(obj["ms"] is None for obj in objs)
+    records, _ = run_scan(X3, ScanOptions(p_max=13, timing=False, cache_path=path))
+    assert all(rec.ms is None for rec in records)
 
 
 def test_scan_replays_from_cache(tmp_path):
@@ -332,6 +376,36 @@ def test_cli_exit_codes():
     assert cli("np", "x^3", "3").returncode == 2  # bad place: p | d
     assert cli("np", "x^5", "11", "--budget", "10").returncode == 3
     assert cli("crosscheck", "x^2", "3").returncode == 0
+
+
+def test_cli_rejects_options_a_subcommand_ignores(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    for argv in (
+        ["np", "x^3", "7", "--cache", str(cache)],
+        ["np", "x^3", "7", "--jobs", "8"],
+        ["crosscheck", "x^3", "5", "--char", "3"],
+        ["crosscheck", "x^3", "5", "--format", "json"],
+        ["crosscheck", "x^3", "5", "--no-timing"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+def test_cli_indivisible_recurrence_exits_4(monkeypatch, capsys):
+    """Exact sums that give a non-integral a_k are computed data failing a theorem."""
+    exact = lfunction.exp_sum
+
+    def corrupted(fbar, m, chi, budget=None):
+        s = exact(fbar, m, chi, budget)
+        return s + CycInt.one(s.p) if m == 2 else s
+
+    monkeypatch.setattr(lfunction, "exp_sum", corrupted)
+    assert main(["np", "dickson(5,1)", "7", "--no-timing"]) == 4
+    assert "coefficient a_2 is not integral" in capsys.readouterr().err
+    assert main(["scan", "dickson(5,1)", "--p-max", "7", "--no-timing"]) == 4
 
 
 def test_cli_np_past_int64_bound_exits_3():
