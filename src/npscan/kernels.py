@@ -1,11 +1,14 @@
 """Vectorized whole-field enumeration: bulk evaluation and trace histograms.
 
-All kernels do exact int64 arithmetic.  Values stay reduced below p between
-Horner steps, so the worst intermediate is bounded by e*(p-1)^2 after a
-coefficient convolution and by e*(e-1)*(p-1)^3 inside the modulus-reduction
-step; the entry guard checks both against 2^62 and raises BudgetExceeded for
-a field past the bound (F_p first fails at p = 2^31 + 11, far above the
-default budget of 1e8 elements), so no input yields wrapped numbers.
+The Horner kernels do exact int64 arithmetic.  Values stay reduced below p
+between Horner steps, so the worst intermediate is bounded by e*(p-1)^2
+after a coefficient convolution and by e*(e-1)*(p-1)^3 inside the
+modulus-reduction step; the entry guard checks both against 2^62 and raises
+BudgetExceeded for a field past the bound (F_p first fails at p = 2^31 + 11,
+far above the default budget of 1e8 elements), so no input yields wrapped
+numbers.  The Zech route checks the same bound, then runs its trace-form
+product in float64 while its sums stay below 2^53 (exact there) and in
+int64, reduced mod p after each term, beyond.
 
 Element number k of F_{p^e} has the base-p digits of k as its coefficient
 vector, least significant first, matching FiniteField.from_index.
@@ -13,7 +16,6 @@ vector, least significant first, matching FiniteField.from_index.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterator
 
@@ -113,7 +115,7 @@ def eval_blocks(fbar: FieldPolynomial) -> Iterator[tuple[int, np.ndarray]]:
 
 def trace_histogram(fbar: FieldPolynomial) -> list[int]:
     """Counts t_a = #{x in F_q : Tr(f(x)) = a}, indexed by a in 0..p-1."""
-    if ZECH_MIN_Q <= fbar.field.q <= ZECH_MAX_Q and _prime_field_coeffs(fbar):
+    if fbar.field.q >= ZECH_MIN_Q:
         return _trace_histogram_zech(fbar)
     return _trace_histogram_horner(fbar)
 
@@ -131,25 +133,19 @@ def _trace_histogram_horner(fbar: FieldPolynomial) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Zech route: the fast path for large extensions.
+# Zech route, every q >= ZECH_MIN_Q and any coefficients.  With g a generator
+# of F_q^*, x = g^(a*B + b) and H[i, j] = Tr(x^(i+j)), Tr(u*v) = u H v^T on
+# coefficient rows, so each term of f gives
 #
-# Fix a generator g of F_q^*.  Trace down to F_p is F_p-linear, so when every
-# coefficient c_k with k >= 1 lies in F_p, x = g^s gives
+#     Tr(c_k x^k) = (c_k g^(k*a*B)) H (g^(k*b))^T.
 #
-#     Tr(f(g^s)) = Tr(c_0) + sum_{k >= 1} c_k T[k*s mod (q-1)],  T[s] = Tr(g^s).
-#
-# That covers every polynomial reduced from Q[x] and pushed into F_{p^m};
-# any other input takes the Horner route.  One table per field turns every
-# histogram into a handful of fancy-indexing passes, independent of the
-# extension degree.
+# Side by side, the left factors U_k (row a) and right factors M_k (column b)
+# make Tr(f(x)) - Tr(c_0) one matrix product per block of rows a: memory is
+# O(d sqrt(q) e), with no q-sized table.
 
 ZECH_MIN_Q = 1 << 12
-ZECH_MAX_Q = 1 << 25
-
-
-def _prime_field_coeffs(fbar: FieldPolynomial) -> bool:
-    """Every coefficient of x^k, k >= 1, lies in the prime field F_p."""
-    return not any(any(c.coeffs[1:]) for c in fbar.coeffs[1:])
+ZECH_MAX_Q = math.inf  # no upper cap; the name stays for perfbench's tracer
+_FLOAT64_EXACT = 1 << 53  # float64 sums of integers below this are exact
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -167,74 +163,75 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _find_generator(field: FiniteField):
-    """Smallest element (enumeration order) of multiplicative order q - 1."""
+    """Smallest element (enumeration order) of multiplicative order q - 1; for
+    e > 1 the search starts at index p, as the elements below it form F_p."""
     q = field.q
-    if q == 2:
-        return field.one()
     factors = _prime_factors(q - 1)
     one = field.one()
-    for k in range(2, q):
+    for k in range(field.p if field.e > 1 else 1, q):
         g = field.from_index(k)
         if all(g ** ((q - 1) // ell) != one for ell in factors):
             return g
     raise AssertionError("no generator found")  # unreachable for a field
 
 
-def _powers_rows(field: FiniteField, g, count: int, red: np.ndarray) -> np.ndarray:
+def _mul_matrix(field: FiniteField, y) -> np.ndarray:
+    """Row i is x^i * y, so a coefficient row u gives u @ this = u * y."""
+    rows, x = [y], field.gen()
+    for _ in range(field.e - 1):
+        rows.append(rows[-1] * x)
+    return np.array([r.coeffs for r in rows], dtype=np.int64)
+
+
+def _powers_rows(field: FiniteField, g, count: int) -> np.ndarray:
     """Digit rows of g^0 .. g^(count-1), built by block doubling."""
-    p, e = field.p, field.e
-    rows = np.zeros((1, e), dtype=np.int64)
+    p = field.p
+    rows = np.zeros((count, field.e), dtype=np.int64)
     rows[0, 0] = 1
-    while rows.shape[0] < count:
-        have = rows.shape[0]
+    step, have = _mul_matrix(field, g), 1  # step multiplies by g^have
+    while have < count:
         take = min(have, count - have)
-        step = np.array([(g ** have).coeffs], dtype=np.int64)
-        rows = np.vstack([rows, _mul_block(rows[:take], step, red, p)])
+        rows[have : have + take] = rows[:take] @ step % p
+        step, have = step @ step % p, have + take
     return rows
-
-
-@functools.lru_cache(maxsize=6)
-def _trace_powers(field: FiniteField) -> np.ndarray:
-    """T[s] = Tr(g^s) for s = 0..q-2, as int32.
-
-    With g^(a*B + b) = giant_a * baby_b and H[i, j] = Tr(x^(i+j)), the trace
-    is the bilinear form T[a*B + b] = giant_a H baby_b^T mod p.  Its entries
-    stay below e*(p-1)^2 < 2^62 for q <= ZECH_MAX_Q.
-    """
-    p, e, q = field.p, field.e, field.q
-    red = _reduction_rows(field)
-    tr_xk = np.array(field.power_traces(2 * e - 1), dtype=np.int64)
-    H = tr_xk[np.add.outer(np.arange(e), np.arange(e))]
-    g = _find_generator(field)
-    B = math.isqrt(q - 1) + 1
-    baby = _powers_rows(field, g, B, red)
-    giant = _powers_rows(field, g**B, (q - 2) // B + 1, red)
-    T = (giant @ H % p) @ baby.T
-    T %= p
-    return T.astype(np.int32).ravel()[: q - 1]
 
 
 def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
     field = fbar.field
-    p, q = field.p, field.q
-    if not _prime_field_coeffs(fbar):
-        raise ValueError("the Zech route needs coefficients of x^k, k >= 1, in F_p")
-    terms = [(k, c.coeffs[0]) for k, c in enumerate(fbar.coeffs) if k and not c.is_zero()]
+    p, e, q = field.p, field.e, field.q
+    limit = _int64_limit(e)  # bounds e*(p-1)^2 + p below 2^62
+    if q > limit:
+        raise BudgetExceeded(q, limit)
+    terms = [(k, c) for k, c in enumerate(fbar.coeffs) if k and not c.is_zero()]
     tr0 = field.trace(fbar.coeffs[0]) if fbar.coeffs else 0
-
     hist = np.zeros(p, dtype=np.int64)
-    if not terms:
-        hist[tr0] = q
-        return [int(v) for v in hist]
-    T = _trace_powers(field)
-    stripe = 1 << 20
-    for start in range(0, q - 1, stripe):
-        s = np.arange(start, min(start + stripe, q - 1), dtype=np.int64)
-        acc = np.full(s.shape[0], tr0, dtype=np.int64)
-        for k, c in terms:
-            acc += np.multiply(T[k * s % (q - 1)], c, dtype=np.int64)
-        hist += np.bincount(acc % p, minlength=p)
     hist[tr0] += 1  # x = 0 contributes Tr(c_0)
+    if not terms:
+        hist[tr0] += q - 1
+        return [int(v) for v in hist]
+
+    d = terms[-1][0]
+    B = math.isqrt(q - 2) + 1  # ceil(sqrt(q - 1))
+    A = (q - 2) // B + 1
+    g = _find_generator(field)
+    Z = _powers_rows(field, g, d * (B - 1) + 1)
+    Y = _powers_rows(field, g**B, d * (A - 1) + 1)
+    tr_xk = np.array(field.power_traces(2 * e - 1), dtype=np.int64)
+    H = tr_xk[np.add.outer(np.arange(e), np.arange(e))]
+    U = np.hstack([Y[k * np.arange(A)] @ _mul_matrix(field, c) % p for k, c in terms])
+    M = np.vstack([(Z[k * np.arange(B)] @ H % p).T for k, _ in terms])
+    width = U.shape[1]
+    if width * (p - 1) ** 2 + p > _FLOAT64_EXACT:
+        width = e  # int64, reduced mod p after each term
+    else:
+        U, M = U.astype(np.float64), M.astype(np.float64)
+    rows = max(1, _CHUNK // B)
+    for lo in range(0, A, rows):
+        T = np.full((min(rows, A - lo), B), tr0, dtype=np.int64)
+        for j in range(0, U.shape[1], width):
+            T += (U[lo : lo + rows, j : j + width] @ M[j : j + width]).astype(np.int64)
+            T %= p
+        hist += np.bincount(T.ravel()[: q - 1 - lo * B], minlength=p)
     return [int(v) for v in hist]
 
 

@@ -115,7 +115,7 @@ def test_trace_matches_conjugate_sum(p, e):
         x = F.from_index(k)
         assert F.trace(x) == conjugate_sum(x)
     # Tr(x^k) up to the degree of a product of two basis elements, as the
-    # Zech table's bilinear form reads it
+    # Zech route's trace form H[i, j] = Tr(x^(i+j)) reads it
     assert F.power_traces(2 * e - 1) == tuple(
         conjugate_sum(F.gen() ** k) for k in range(2 * e - 1)
     )

@@ -8,9 +8,8 @@ Which inputs each route takes:
 
 * naive (the oracle): any polynomial over any field;
 * Horner: any polynomial over any field;
-* Zech: ZECH_MIN_Q <= q <= ZECH_MAX_Q, and every coefficient of x^k with
-  k >= 1 in F_p (c_0 is free); it raises on anything else.
-  trace_histogram sends it exactly those inputs and the rest to Horner.
+* Zech: any polynomial over any field; trace_histogram sends it every
+  field with q >= ZECH_MIN_Q and the smaller ones to Horner.
 """
 
 import random
@@ -29,13 +28,6 @@ def random_poly(field, degree, rng):
     return field.poly([field.from_index(k) for k in coeffs])
 
 
-def random_fp_poly(field, degree, rng):
-    """Constant term anywhere in F_q, every other coefficient in F_p."""
-    p = field.p
-    coeffs = [rng.randrange(p) for _ in range(degree - 1)] + [rng.randrange(1, p)]
-    return field.poly([field.from_index(rng.randrange(field.q))] + coeffs)
-
-
 @pytest.mark.parametrize("p,e", [(2, 5), (3, 3), (5, 2), (7, 2), (11, 1), (13, 2), (3, 8)])
 def test_trace_histogram_matches_naive(p, e):
     rng = random.Random(p * 100 + e)
@@ -45,32 +37,43 @@ def test_trace_histogram_matches_naive(p, e):
         assert kernels.trace_histogram(f) == kernels.naive_trace_histogram(f)
 
 
-@pytest.mark.parametrize("p,e", [(3, 8), (5, 6), (7, 5), (2, 13)])
+@pytest.mark.parametrize("p,e", [(3, 8), (5, 6), (7, 5), (2, 13), (4099, 1)])
 def test_zech_and_horner_routes_agree(p, e):
-    """Fields past the Zech cutoff: compare the index-table route against
+    """Fields past the Zech cutoff: compare the trace-form route against
     the Horner-block route explicitly (these share no evaluation code)."""
     rng = random.Random(e)
     F = build_field(p, e)
     assert F.q > kernels.ZECH_MIN_Q
     for deg in (2, 3, 6):
-        f = random_fp_poly(F, deg, rng)
+        f = random_poly(F, deg, rng)
+        assert kernels._trace_histogram_zech(f) == kernels._trace_histogram_horner(f)
+
+
+@pytest.mark.parametrize("p,e", [(3, 8), (4099, 1)])
+def test_zech_int64_product_matches_horner(monkeypatch, p, e):
+    """With the float64 limit at 0 the trace form runs in int64, term by term."""
+    monkeypatch.setattr(kernels, "_FLOAT64_EXACT", 0)
+    rng = random.Random(p)
+    F = build_field(p, e)
+    for deg in (1, 4):
+        f = random_poly(F, deg, rng)
         assert kernels._trace_histogram_zech(f) == kernels._trace_histogram_horner(f)
 
 
 @pytest.mark.parametrize("p", [40009, 65537])
 def test_zech_matches_horner_past_int16(p):
-    """Traces above 2^15 must not wrap in the Zech table."""
+    """Traces above 2^15 must not wrap in the Zech route."""
     F = build_field(p, 1)
     rng = random.Random(p)
-    for f in (F.poly([0, 0, 1]), random_fp_poly(F, 5, rng)):
+    for f in (F.poly([0, 0, 1]), random_poly(F, 5, rng)):
         assert kernels._trace_histogram_zech(f) == kernels._trace_histogram_horner(f)
 
 
-def test_zech_rejects_coefficients_outside_prime_field():
+def test_zech_takes_coefficients_outside_prime_field():
+    """x^2 + g*x over F_{3^8}, g the field generator, through the public entry."""
     F = build_field(3, 8)
     f = F.poly([0, F.gen(), 1])
-    with pytest.raises(ValueError):
-        kernels._trace_histogram_zech(f)
+    assert kernels.trace_histogram(f) == kernels.naive_trace_histogram(f)
 
 
 def test_zech_handles_sparse_and_constant_polys():
@@ -126,15 +129,20 @@ def test_find_first_root_matches_scan():
 
 
 def test_find_generator_has_full_order():
-    for p, e in [(3, 2), (5, 2), (2, 6), (7, 1)]:
+    """The search returns the smallest element of order q - 1, as brute force does."""
+
+    def order(x, one):
+        n, y = 1, x
+        while y != one:
+            n, y = n + 1, y * x
+        return n
+
+    for p, e in [(7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (2, 6)]:
         F = build_field(p, e)
-        g = kernels._find_generator(F)
-        seen = set()
-        x = F.one()
-        for _ in range(F.q - 1):
-            seen.add(x.coeffs)
-            x = x * g
-        assert len(seen) == F.q - 1 and x == F.one()
+        brute = next(
+            F.from_index(k) for k in range(1, F.q) if order(F.from_index(k), F.one()) == F.q - 1
+        )
+        assert kernels._find_generator(F) == brute
 
 
 def test_element_block_matches_from_index():

@@ -330,7 +330,8 @@ def test_cli_np_golden_line():
         "5,1,3,0/1:0/1;2/1:1/1,1/2:2/1,1/6,false,2,,true,1/2,"
     )
     # goldens computed on the full L-path; x^3 at 10007 is beyond the full
-    # path's budget and matches the Stickelberger oracle in test_lfunction
+    # path's budget and matches the Stickelberger oracle in test_lfunction;
+    # x^9+x at 53 (K = 4, F_{53^4} histograms) comes from the half-L path
     pinned_rows = {
         ("x^3", "71"): "71,1,3,0/1:0/1;2/1:1/1,1/2:2/1,1/6,false,2,,true,1/2,",
         ("dickson(5,1)", "23"):
@@ -339,6 +340,10 @@ def test_cli_np_golden_line():
             "29,1,5,0/1:0/1;1/1:3/14;2/1:9/14;3/1:17/14;4/1:2/1,"
             "3/14:1/1;3/7:1/1;4/7:1/1;11/14:1/1,3/70,false,4,,false,,",
         ("x^3", "10007"): "10007,1,3,0/1:0/1;2/1:1/1,1/2:2/1,1/6,false,2,,true,1/2,",
+        ("x^9+x", "53"):
+            "53,1,9,0/1:0/1;1/1:3/13;2/1:7/13;3/1:12/13;4/1:18/13;5/1:25/13;6/1:33/13;"
+            "7/1:42/13;8/1:4/1,3/13:1/1;4/13:1/1;5/13:1/1;6/13:1/1;7/13:1/1;8/13:1/1;"
+            "9/13:1/1;10/13:1/1,32/117,false,8,,false,,",
     }
     for (poly, p), row in pinned_rows.items():
         res = cli("np", poly, p, "--no-timing")
