@@ -8,7 +8,9 @@ BudgetExceeded for a field past the bound (F_p first fails at p = 2^31 + 11,
 far above the default budget of 1e8 elements), so no input yields wrapped
 numbers.  The Zech route checks the same bound, then runs its trace-form
 product in float64 while its sums stay below 2^53 (exact there) and in
-int64, reduced mod p after each term, beyond.
+int64, reduced mod p after each term, beyond.  Its per-field set-up (a
+generator and the trace form) is built once per field and kept in a
+bounded cache; everything else is per call.
 
 Element number k of F_{p^e} has the base-p digits of k as its coefficient
 vector, least significant first, matching FiniteField.from_index.
@@ -16,6 +18,7 @@ vector, least significant first, matching FiniteField.from_index.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -27,6 +30,7 @@ from .fields import FieldPolynomial, FiniteField
 _CHUNK = 1 << 16
 
 
+@functools.lru_cache(maxsize=64)
 def _int64_limit(e: int) -> int:
     """Largest q = P^e whose Horner intermediates stay below 2^62."""
 
@@ -141,11 +145,18 @@ def _trace_histogram_horner(fbar: FieldPolynomial) -> list[int]:
 #
 # Side by side, the left factors U_k (row a) and right factors M_k (column b)
 # make Tr(f(x)) - Tr(c_0) one matrix product per block of rows a: memory is
-# O(d sqrt(q) e), with no q-sized table.
+# O(d sqrt(q) e), with no q-sized table.  g, g^B and H depend on the field
+# alone, so _zech_field builds them once per field.  Every entry of the
+# product is an integer in [0, K (p-1)^2], K its inner width.  While that
+# bound is at most _FOLD_MAX (small p, as in F_{3^12} or F_{7^8}; never an
+# F_p, as p >= 2^12 here) the float64 sums are counted by value and folded
+# mod p once per call; otherwise each entry is reduced mod p first.
 
 ZECH_MIN_Q = 1 << 12
 ZECH_MAX_Q = math.inf  # no upper cap; the name stays for perfbench's tracer
 _FLOAT64_EXACT = 1 << 53  # float64 sums of integers below this are exact
+_FOLD_MAX = _CHUNK  # raw sums up to this are counted before reduction mod p
+_GENERATOR_BATCH = 32  # candidates tested together by _find_generator
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -162,38 +173,90 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _mul_matrices(field: FiniteField, Y: np.ndarray) -> np.ndarray:
+    """Matrix n has row i = x^i * Y[n], so a coefficient row u gives
+    u @ matrix n = u * Y[n]; Y holds reduced digit rows."""
+    p, e = field.p, field.e
+    xe = np.array([-c % p for c in field.modulus[:e]], dtype=np.int64)  # x^e
+    mats = np.empty((len(Y), e, e), dtype=np.int64)
+    mats[:, 0] = Y
+    for i in range(1, e):
+        prev = mats[:, i - 1]
+        mats[:, i, 0] = 0
+        mats[:, i, 1:] = prev[:, :-1]
+        mats[:, i] = (mats[:, i] + prev[:, -1:] * xe) % p
+    return mats
+
+
+def _full_order(field: FiniteField, Y: np.ndarray, exponents: list[int]) -> np.ndarray:
+    """Whether no Y[n]^k, k in exponents, is 1: square-and-multiply on the
+    multiplication matrices of all rows at once."""
+    p = field.p
+    mats = _mul_matrices(field, Y)
+    powers = np.zeros((len(exponents),) + Y.shape, dtype=np.int64)  # Y^k per k
+    powers[:, :, 0] = 1
+    for bit in range(max(exponents).bit_length()):
+        if bit:
+            mats = mats @ mats % p  # multiplication by Y^(2^bit)
+        for power, k in zip(powers, exponents):
+            if k >> bit & 1:
+                power[:] = (power[:, None, :] @ mats)[:, 0] % p
+    one = np.eye(1, field.e, dtype=np.int64)
+    return ~(powers == one).all(axis=2).any(axis=0)
+
+
 def _find_generator(field: FiniteField):
-    """Smallest element (enumeration order) of multiplicative order q - 1; for
-    e > 1 the search starts at index p, as the elements below it form F_p."""
-    q = field.q
-    factors = _prime_factors(q - 1)
-    one = field.one()
-    for k in range(field.p if field.e > 1 else 1, q):
-        g = field.from_index(k)
-        if all(g ** ((q - 1) // ell) != one for ell in factors):
-            return g
+    """Smallest element (enumeration order) of multiplicative order q - 1,
+    the first whose (q-1)/l-th power is not 1 for every prime l | q - 1.
+    For e = 1 that is integer pow; for e > 1 the search starts at index p,
+    as the elements below it form F_p, and tests a batch at a time."""
+    p, q = field.p, field.q
+    exponents = [(q - 1) // ell for ell in _prime_factors(q - 1)]
+    if field.e == 1:
+        return field.from_index(
+            next(k for k in range(1, q) if all(pow(k, n, p) != 1 for n in exponents))
+        )
+    for start in range(p, q, _GENERATOR_BATCH):
+        stop = min(start + _GENERATOR_BATCH, q)
+        full = _full_order(field, _element_block(field, start, stop), exponents)
+        if full.any():
+            return field.from_index(start + int(full.argmax()))
     raise AssertionError("no generator found")  # unreachable for a field
 
 
-def _mul_matrix(field: FiniteField, y) -> np.ndarray:
-    """Row i is x^i * y, so a coefficient row u gives u @ this = u * y."""
-    rows, x = [y], field.gen()
-    for _ in range(field.e - 1):
-        rows.append(rows[-1] * x)
-    return np.array([r.coeffs for r in rows], dtype=np.int64)
-
-
-def _powers_rows(field: FiniteField, g, count: int) -> np.ndarray:
-    """Digit rows of g^0 .. g^(count-1), built by block doubling."""
-    p = field.p
-    rows = np.zeros((count, field.e), dtype=np.int64)
+def _powers_rows(step: np.ndarray, count: int, p: int) -> np.ndarray:
+    """Digit rows of y^0 .. y^(count-1), step the multiplication matrix of
+    y, built by block doubling."""
+    rows = np.zeros((count, len(step)), dtype=np.int64)
     rows[0, 0] = 1
-    step, have = _mul_matrix(field, g), 1  # step multiplies by g^have
+    have = 1  # step multiplies by y^have
     while have < count:
         take = min(have, count - have)
         rows[have : have + take] = rows[:take] @ step % p
         step, have = step @ step % p, have + take
     return rows
+
+
+def _term_powers(step: np.ndarray, terms: list, n: int, p: int) -> list[np.ndarray]:
+    """For each term degree k, the digit rows of y^(k*j), j = 0..n-1."""
+    rows = _powers_rows(step, terms[-1][0] * (n - 1) + 1, p)
+    return [rows[k * np.arange(n)] for k, _ in terms]
+
+
+@functools.lru_cache(maxsize=16)
+def _zech_field(field: FiniteField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multiplication matrices of g and g^B, g the smallest generator of
+    F_q^* and B = ceil(sqrt(q - 1)), and the trace form H: built once per
+    field, read-only."""
+    e, q = field.e, field.q
+    g = _find_generator(field)
+    B = math.isqrt(q - 2) + 1
+    G, GB = _mul_matrices(field, np.array([g.coeffs, (g**B).coeffs], dtype=np.int64))
+    tr_xk = np.array(field.power_traces(2 * e - 1), dtype=np.int64)
+    H = tr_xk[np.add.outer(np.arange(e), np.arange(e))]
+    for a in (G, GB, H):
+        a.flags.writeable = False
+    return G, GB, H
 
 
 def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
@@ -210,28 +273,32 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
         hist[tr0] += q - 1
         return [int(v) for v in hist]
 
-    d = terms[-1][0]
     B = math.isqrt(q - 2) + 1  # ceil(sqrt(q - 1))
     A = (q - 2) // B + 1
-    g = _find_generator(field)
-    Z = _powers_rows(field, g, d * (B - 1) + 1)
-    Y = _powers_rows(field, g**B, d * (A - 1) + 1)
-    tr_xk = np.array(field.power_traces(2 * e - 1), dtype=np.int64)
-    H = tr_xk[np.add.outer(np.arange(e), np.arange(e))]
-    U = np.hstack([Y[k * np.arange(A)] @ _mul_matrix(field, c) % p for k, c in terms])
-    M = np.vstack([(Z[k * np.arange(B)] @ H % p).T for k, _ in terms])
-    width = U.shape[1]
-    if width * (p - 1) ** 2 + p > _FLOAT64_EXACT:
-        width = e  # int64, reduced mod p after each term
-    else:
-        U, M = U.astype(np.float64), M.astype(np.float64)
+    top = len(terms) * e * (p - 1) ** 2  # largest entry of U @ M
+    exact = top + p <= _FLOAT64_EXACT  # float64 sums are exact
+    dtype = np.float64 if exact else np.int64
+    G, GB, H = _zech_field(field)
+    C = _mul_matrices(field, np.array([c.coeffs for _, c in terms], dtype=np.int64))
+    U = np.hstack([Yk @ Ck % p for Yk, Ck in zip(_term_powers(GB, terms, A, p), C)], dtype=dtype)
+    M = np.vstack([(Zk @ H % p).T for Zk in _term_powers(G, terms, B, p)], dtype=dtype)
+    width = U.shape[1] if exact else e  # int64: reduced mod p after each term
+    fold = exact and top <= _FOLD_MAX
+    counts = np.zeros(top + 1 if fold else p, dtype=np.int64)
     rows = max(1, _CHUNK // B)
     for lo in range(0, A, rows):
-        T = np.full((min(rows, A - lo), B), tr0, dtype=np.int64)
-        for j in range(0, U.shape[1], width):
-            T += (U[lo : lo + rows, j : j + width] @ M[j : j + width]).astype(np.int64)
-            T %= p
-        hist += np.bincount(T.ravel()[: q - 1 - lo * B], minlength=p)
+        if fold:  # raw sums, counted by value
+            T = (U[lo : lo + rows] @ M).astype(np.int64)
+        else:
+            T = np.full((min(rows, A - lo), B), tr0, dtype=np.int64)
+            for j in range(0, U.shape[1], width):
+                T += (U[lo : lo + rows, j : j + width] @ M[j : j + width]).astype(np.int64)
+                T %= p
+        counts += np.bincount(T.ravel()[: q - 1 - lo * B], minlength=counts.size)
+    if fold:
+        np.add.at(hist, (np.arange(top + 1) + tr0) % p, counts)
+    else:
+        hist += counts
     return [int(v) for v in hist]
 
 

@@ -18,6 +18,7 @@ derived from its polygon, so a cache line replays its stored fields only.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -219,35 +220,36 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
             hint = fact.spec
     primes = good_places(fq, opts.p_max)
 
-    records: dict[int, ScanRecord] = {}
-    todo: list[int] = []
+    cached: dict[int, ScanRecord] = {}
     cache = cache_load(opts.cache_path) if opts.cache_path is not None else {}
     for p in primes:
-        cached = cache.get(cache_key(fq, p, opts.char))
-        if cached is not None:
+        rec = cache.get(cache_key(fq, p, opts.char))
+        if rec is not None:
             # admissible depends on this scan's hint, which the key leaves out;
             # ms is settled here, so the renderers print what the record holds
-            records[p] = replace(
-                cached, admissible=_admissible(p, hint), ms=cached.ms if opts.timing else None
+            cached[p] = replace(
+                rec, admissible=_admissible(p, hint), ms=rec.ms if opts.timing else None
             )
-        else:
-            todo.append(p)
 
     compute = functools.partial(
         scan_record, fq, char=opts.char, budget=opts.budget, hint=hint, timing=opts.timing
     )
-    if opts.jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-            records.update(zip(todo, pool.map(compute, todo)))
-    else:
-        records.update(zip(todo, map(compute, todo)))
-
-    ordered = [records[p] for p in primes]
-    computed = set(todo)
-    for rec in ordered:
-        validate_record(rec)
-        if opts.cache_path is not None and rec.error is None and rec.p in computed:
-            cache_put(opts.cache_path, cache_key(fq, rec.p, opts.char), rec)
+    todo = [p for p in primes if p not in cached]
+    ordered: list[ScanRecord] = []
+    with contextlib.ExitStack() as stack:
+        fresh = map(compute, todo)  # records of todo, in order, as they finish
+        if opts.jobs > 1 and len(todo) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=opts.jobs))
+            stack.callback(pool.shutdown, cancel_futures=True)  # start no more on a raise
+            fresh = pool.map(compute, todo)
+        # each row is validated and cached as it comes out, so the rows
+        # before a prime that raises stay in the cache
+        for p in primes:
+            rec = cached[p] if p in cached else next(fresh)
+            validate_record(rec)
+            if opts.cache_path is not None and rec.error is None and p not in cached:
+                cache_put(opts.cache_path, cache_key(fq, p, opts.char), rec)
+            ordered.append(rec)
 
     gap_bound = Fraction(1, 2 * d)
     n_np = sum(1 for r in ordered if r.np_eq_hp)

@@ -18,7 +18,7 @@ import pytest
 
 from npscan import kernels
 from npscan.errors import BudgetExceeded
-from npscan.fields import build_field
+from npscan.fields import build_field, is_prime
 
 
 def random_poly(field, degree, rng):
@@ -58,6 +58,51 @@ def test_zech_int64_product_matches_horner(monkeypatch, p, e):
     for deg in (1, 4):
         f = random_poly(F, deg, rng)
         assert kernels._trace_histogram_zech(f) == kernels._trace_histogram_horner(f)
+
+
+@pytest.mark.parametrize("p,e", [(3, 8), (67, 2)])
+def test_zech_folded_and_per_element_reductions_match_horner(monkeypatch, p, e):
+    """Small p folds raw trace-form sums mod p once; _FOLD_MAX = -1 forces the
+    reduction of each entry instead.  Both must give Horner's histogram."""
+    rng = random.Random(p + e)
+    F = build_field(p, e)
+    f = random_poly(F, 5, rng)
+    assert 5 * e * (p - 1) ** 2 <= kernels._FOLD_MAX  # the default folds
+    horner = kernels._trace_histogram_horner(f)
+    assert kernels._trace_histogram_zech(f) == horner
+    monkeypatch.setattr(kernels, "_FOLD_MAX", -1)
+    assert kernels._trace_histogram_zech(f) == horner
+
+
+def test_zech_field_setup_reused_across_polynomials():
+    """Two polynomials over one field, run back to back, give the histograms
+    each gets after the per-field cache is cleared."""
+    rng = random.Random(56)
+    F = build_field(5, 6)
+    polys = [random_poly(F, 3, rng), random_poly(F, 6, rng)]
+    kernels._zech_field.cache_clear()
+    warm = [kernels._trace_histogram_zech(f) for f in polys]
+    cold = []
+    for f in polys:
+        kernels._zech_field.cache_clear()
+        cold.append(kernels._trace_histogram_zech(f))
+    assert warm == cold == [kernels._trace_histogram_horner(f) for f in polys]
+
+
+def test_generator_search_runs_once_per_field(monkeypatch):
+    calls = []
+    search = kernels._find_generator
+
+    def counted(field):
+        calls.append(field)
+        return search(field)
+
+    monkeypatch.setattr(kernels, "_find_generator", counted)
+    kernels._zech_field.cache_clear()
+    F, E = build_field(3, 8), build_field(4099, 1)
+    for f in (F.poly([0, 1, 1]), E.poly([0, 0, 1]), F.poly([2, 0, 0, 1]), E.poly([3, 1])):
+        kernels.trace_histogram(f)
+    assert calls == [F, E]
 
 
 @pytest.mark.parametrize("p", [40009, 65537])
@@ -137,12 +182,28 @@ def test_find_generator_has_full_order():
             n, y = n + 1, y * x
         return n
 
-    for p, e in [(7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (2, 6)]:
+    for p, e in [(2, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (2, 6), (4099, 1)]:
         F = build_field(p, e)
         brute = next(
             F.from_index(k) for k in range(1, F.q) if order(F.from_index(k), F.one()) == F.q - 1
         )
         assert kernels._find_generator(F) == brute
+
+
+@pytest.mark.parametrize("p,e", [(3, 8), (67, 2)])
+def test_find_generator_is_smallest_by_prime_factors(p, e):
+    """Past 2^12 with e > 1: x has order q - 1 exactly when x^((q-1)/l) != 1 for
+    every prime l | q - 1, checked here with FieldElement powers."""
+    F = build_field(p, e)
+    assert F.q >= kernels.ZECH_MIN_Q
+    ells = [ell for ell in range(2, F.q) if (F.q - 1) % ell == 0 and is_prime(ell)]
+
+    def full(x):
+        return all(x ** ((F.q - 1) // ell) != F.one() for ell in ells)
+
+    g = kernels._find_generator(F)
+    k = sum(c * p**i for i, c in enumerate(g.coeffs))
+    assert full(g) and not any(full(F.from_index(j)) for j in range(1, k))
 
 
 def test_element_block_matches_from_index():

@@ -413,6 +413,24 @@ def test_cli_indivisible_recurrence_exits_4(monkeypatch, capsys):
     assert main(["scan", "dickson(5,1)", "--p-max", "7", "--no-timing"]) == 4
 
 
+def test_scan_caches_rows_before_a_failing_prime(monkeypatch, tmp_path, capsys):
+    """A prime that fails a theorem ends the scan with exit 4; the rows that
+    finished before it are in the cache, and stdout stays empty as before."""
+    exact = lfunction.exp_sum
+
+    def corrupted(fbar, m, chi, budget=None):
+        s = exact(fbar, m, chi, budget)
+        return s + CycInt.one(s.p) if m == 2 and s.p == 7 else s
+
+    monkeypatch.setattr(lfunction, "exp_sum", corrupted)
+    cache = tmp_path / "c.jsonl"
+    argv = ["scan", "dickson(5,1)", "--p-max", "13", "--cache", str(cache), "--no-timing"]
+    assert main(argv) == 4
+    assert capsys.readouterr().out == ""
+    rows = [json.loads(line)["record"] for line in cache.read_text().splitlines()]
+    assert [row["p"] for row in rows] == [2, 3]
+
+
 def test_cli_np_past_int64_bound_exits_3():
     res = cli("np", "x^3", "2147483659", "--budget", "10000000000")
     assert res.returncode == 3
