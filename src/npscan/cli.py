@@ -18,6 +18,7 @@ exceeded, 4 a theorem-backed check failed on computed data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -139,6 +140,7 @@ def _add_record_options(parser: argparse.ArgumentParser) -> None:
                         help="blank the ms column for reproducible output")
 
 
+@functools.cache  # built on the first main call, then reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="npscan", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)

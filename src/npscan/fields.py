@@ -24,6 +24,7 @@ DEFAULT_ENUM_BUDGET = 10**8
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=256)  # CycInt checks its p on every construction
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
     if n < 2:

@@ -135,6 +135,11 @@ def l_polynomial(
     recurrence stops at a_K, K = (d-1) // 2, so only S_1..S_K are
     enumerated.  With verify=True (full L only), S_d is also computed and
     the recurrence is run one step further, which must give a_d = 0.
+
+    The full L is memoized per (fbar, chi, verify): crosscheck asks for the
+    same L in several checks.  The budget is checked before the lookup and
+    raises what a cold call raises, so a cached L is never returned under a
+    budget that refuses it.
     """
     field = fbar.field
     p, d = field.p, fbar.degree
@@ -146,21 +151,44 @@ def l_polynomial(
         raise ValueError("verify needs the full L-polynomial")
     if chi is None:
         chi = Character(p, 1)
+    if chi.p != p:
+        raise CharacteristicMismatch(f"character mod {chi.p} vs field of characteristic {p}")
     upto = (d - 1) // 2 if half else d - 1
-    sums = [exp_sum(fbar, m, chi, budget) for m in range(1, upto + 1)]
+    for m in range(1, upto + 1):
+        check_enum_budget(field.q**m, budget)
+    if verify:
+        check_enum_budget(field.q**d, budget)
+    if half:
+        return _l_recurrence(fbar, chi, upto, verify)
+    return _full_l_polynomial(fbar, chi, verify)
+
+
+def _l_recurrence(fbar: FieldPolynomial, chi: Character, upto: int, verify: bool) -> LPolynomial:
+    """a_0..a_upto from S_1..S_upto.  The caller has checked the budget, so
+    the sums run under none."""
+    field = fbar.field
+    p, d = field.p, fbar.degree
+    sums = [exp_sum(fbar, m, chi, math.inf) for m in range(1, upto + 1)]
     coeffs = [CycInt.one(p)]
     for k in range(1, upto + 1):
         try:
             coeffs.append(exact_div_int(_newton_sum(sums, coeffs), k))
         except NotDivisible as exc:
             raise InternalDivisibility(f"coefficient a_{k} is not integral") from exc
-    if not half and d > 1 and coeffs[d - 1].is_zero():
+    if upto == d - 1 and d > 1 and coeffs[d - 1].is_zero():
         raise InvariantViolation("leading coefficient a_(d-1) vanished")
     if verify:
-        sums.append(exp_sum(fbar, d, chi, budget))
+        sums.append(exp_sum(fbar, d, chi, math.inf))
         if not _newton_sum(sums, coeffs).is_zero():
             raise InvariantViolation("S_d is inconsistent with the L-coefficients")
     return LPolynomial(p, field.e, d - 1, tuple(coeffs))
+
+
+# Each entry holds d (p - 1) integers.  A scan computes each half L once,
+# so only the full L, which crosscheck reuses, is kept.
+@functools.lru_cache(maxsize=64)
+def _full_l_polynomial(fbar: FieldPolynomial, chi: Character, verify: bool) -> LPolynomial:
+    return _l_recurrence(fbar, chi, fbar.degree - 1, verify)
 
 
 def newton_polygon(lpoly: LPolynomial) -> ConvexPolygon:

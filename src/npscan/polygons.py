@@ -8,6 +8,7 @@ no floats anywhere, so comparisons like "gap is exactly 1/6" are honest.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -97,6 +98,7 @@ def lower_hull(points: Iterable[tuple]) -> ConvexPolygon:
     return ConvexPolygon(tuple(hull))
 
 
+@functools.lru_cache(maxsize=64)  # a scan row asks for it three times
 def hodge_polygon(d: int) -> ConvexPolygon:
     """Vertices (k, k(k+1)/(2d)) for k = 0..d-1: slope k/d with length 1 each."""
     if d < 1:

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import IO, Sequence
@@ -222,7 +220,7 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
 
     cached: dict[int, ScanRecord] = {}
     cache = cache_load(opts.cache_path) if opts.cache_path is not None else {}
-    for p in primes:
+    for p in primes if cache else ():  # no rows, no keys to hash
         rec = cache.get(cache_key(fq, p, opts.char))
         if rec is not None:
             # admissible depends on this scan's hint, which the key leaves out;
@@ -239,6 +237,8 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
     with contextlib.ExitStack() as stack:
         fresh = map(compute, todo)  # records of todo, in order, as they finish
         if opts.jobs > 1 and len(todo) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # imported by parallel scans only
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=opts.jobs))
             stack.callback(pool.shutdown, cancel_futures=True)  # start no more on a raise
             fresh = pool.map(compute, todo)
@@ -373,6 +373,8 @@ def write_csv(records: Sequence[ScanRecord], fp: IO[str]) -> None:
 
 
 def cache_key(f: Sequence[Fraction], p: int, c: int) -> str:
+    import hashlib  # imported by scans with a cache only
+
     payload = json.dumps(
         {"f": ratpoly.to_strings(ratpoly.as_poly(f)), "p": p, "c": c, "v": CACHE_VERSION},
         sort_keys=True,

@@ -26,7 +26,7 @@ from npscan.cyclotomic import (
     pi_valuation,
     zeta_power,
 )
-from npscan.errors import NotAUnit, NotDivisible, NotRational
+from npscan.errors import NotAUnit, NotDivisible, NotPrime, NotRational
 
 
 def naive_mul(a: CycInt, b: CycInt) -> CycInt:
@@ -63,6 +63,16 @@ def test_basic_identities_p3():
     assert zeta * zeta == zeta_power(3, 2)
     assert zeta_power(3, 3) == one
     assert zeta_power(3, 2) == CycInt(3, (-1, -1))
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 561])
+def test_composite_p_is_rejected_every_time(n):
+    """The primality of p is remembered, not skipped: a composite p raises on
+    every construction, also after prime ones."""
+    for _ in range(2):
+        CycInt.one(7)
+        with pytest.raises(NotPrime):
+            CycInt(n, (0,) * (n - 1))
 
 
 def test_zeta_power_wraps_and_relation():

@@ -9,7 +9,7 @@ Which inputs each route takes:
 * naive (the oracle): any polynomial over any field;
 * Horner: any polynomial over any field;
 * Zech: any polynomial over any field; trace_histogram sends it every
-  field with q >= ZECH_MIN_Q and the smaller ones to Horner.
+  field except F_p and F_{p^2} below ZECH_MIN_Q, which go to Horner.
 """
 
 import random
@@ -35,6 +35,37 @@ def test_trace_histogram_matches_naive(p, e):
     for deg in (1, 2, 5):
         f = random_poly(F, deg, rng)
         assert kernels.trace_histogram(f) == kernels.naive_trace_histogram(f)
+
+
+def _refuse(route):
+    def refused(fbar):
+        raise AssertionError(f"{route} route taken for F_{fbar.field.p}^{fbar.field.e}")
+
+    return refused
+
+
+@pytest.mark.parametrize("p,e", [(2, 8), (3, 5), (5, 4), (7, 3)])
+def test_extension_fields_of_degree_3_up_take_the_trace_form(monkeypatch, p, e):
+    """Below ZECH_MIN_Q, e >= 3 still goes to the trace form, with
+    coefficients anywhere in F_q."""
+    F = build_field(p, e)
+    assert F.q < kernels.ZECH_MIN_Q
+    rng = random.Random(p * 10 + e)
+    polys = [random_poly(F, deg, rng) for deg in (1, 2, 5)]
+    expected = [kernels.naive_trace_histogram(f) for f in polys]
+    monkeypatch.setattr(kernels, "_trace_histogram_horner", _refuse("Horner"))
+    assert [kernels.trace_histogram(f) for f in polys] == expected
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (4093, 1), (5, 2), (61, 2)])
+def test_prime_fields_and_quadratic_extensions_below_cutoff_take_horner(monkeypatch, p, e):
+    F = build_field(p, e)
+    assert F.q < kernels.ZECH_MIN_Q
+    rng = random.Random(p * 10 + e)
+    polys = [random_poly(F, deg, rng) for deg in (1, 2, 5)]
+    expected = [kernels.naive_trace_histogram(f) for f in polys]
+    monkeypatch.setattr(kernels, "_trace_histogram_zech", _refuse("trace-form"))
+    assert [kernels.trace_histogram(f) for f in polys] == expected
 
 
 @pytest.mark.parametrize("p,e", [(3, 8), (5, 6), (7, 5), (2, 13), (4099, 1)])

@@ -21,6 +21,7 @@ from npscan.errors import (
     DegreeCharClash,
     InvariantViolation,
 )
+from npscan import lfunction
 from npscan.fields import DEFAULT_ENUM_BUDGET, build_field
 from npscan.lfunction import (
     Character,
@@ -268,6 +269,50 @@ def test_base_change_invariance():
     assert np_base_change_check(reduce_mod_p(X2, 3), 2)
     assert np_base_change_check(reduce_mod_p(X2, 3), 3)
     assert np_base_change_check(reduce_mod_p(X3, 5), 2)
+
+
+def test_full_l_polynomial_is_shared():
+    fbar = reduce_mod_p(X3, 5)
+    full = l_polynomial(fbar)
+    assert l_polynomial(fbar, Character(5, 1), budget=10**6) is full
+    assert l_polynomial(fbar, Character(5, 2)) is not full
+    assert l_polynomial(fbar, verify=True) == full
+
+
+def test_cached_l_polynomial_is_refused_by_a_smaller_budget():
+    """A memoized L raises the cold call's BudgetExceeded: the first m with
+    q^m over the budget, S_d included under verify."""
+    fbar = reduce_mod_p(X3, 5)  # full L enumerates F_5 and F_25, verify also F_125
+    cases = [({"budget": 24}, 25), ({"budget": 4}, 5), ({"budget": 124, "verify": True}, 125)]
+    cold = {}
+    lfunction._full_l_polynomial.cache_clear()
+    for kwargs, size in cases:
+        with pytest.raises(BudgetExceeded) as exc:
+            l_polynomial(fbar, **kwargs)
+        cold[size] = str(exc.value)
+    l_polynomial(fbar, budget=10**6)
+    l_polynomial(fbar, budget=10**6, verify=True)
+    for kwargs, size in cases:
+        with pytest.raises(BudgetExceeded) as exc:
+            l_polynomial(fbar, **kwargs)
+        assert str(exc.value) == cold[size] == (
+            f"enumeration of {size} elements exceeds budget {kwargs['budget']}"
+        )
+
+
+def test_verify_is_not_answered_by_an_unverified_cached_l(monkeypatch):
+    fbar = reduce_mod_p(X3, 7)
+    lfunction._full_l_polynomial.cache_clear()
+    l_polynomial(fbar)  # cached without the S_d step
+    exact = lfunction.exp_sum
+
+    def corrupted(fbar, m, chi, budget=None):
+        s = exact(fbar, m, chi, budget)
+        return s + CycInt.one(s.p) if m == 3 else s
+
+    monkeypatch.setattr(lfunction, "exp_sum", corrupted)
+    with pytest.raises(InvariantViolation):
+        l_polynomial(fbar, verify=True)
 
 
 def test_budget_enforced_even_after_caching():

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from npscan import lfunction
+from npscan import cli as cli_module, lfunction
 from npscan.cli import main, parse_poly
 from npscan.cyclotomic import CycInt
 from npscan.dickson import DicksonSpec, dickson
@@ -429,6 +429,27 @@ def test_scan_caches_rows_before_a_failing_prime(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     rows = [json.loads(line)["record"] for line in cache.read_text().splitlines()]
     assert [row["p"] for row in rows] == [2, 3]
+
+
+def test_main_called_repeatedly_in_one_process_matches_separate_runs(capsys):
+    """One parser serves every call: options of one call must not leak into
+    the next, and each call prints what a fresh process prints."""
+    argvs = [
+        ["np", "x^3", "7", "--format", "json", "--char", "2", "--no-timing"],
+        ["crosscheck", "x^3", "7", "--budget", "50"],
+        ["np", "x^3", "7", "--no-timing"],
+        ["crosscheck", "x^3", "7"],
+        ["np", "x^5", "11", "--budget", "10", "--no-timing"],
+        ["np", "x^3", "7", "--no-timing"],
+    ]
+    capsys.readouterr()
+    in_process = []
+    for argv in argvs:
+        rc = main(argv)
+        in_process.append((rc, capsys.readouterr().out))
+    separate = [(res.returncode, res.stdout) for res in (cli(*argv) for argv in argvs)]
+    assert in_process == separate
+    assert cli_module._build_parser() is cli_module._build_parser()
 
 
 def test_cli_np_past_int64_bound_exits_3():
