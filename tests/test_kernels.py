@@ -37,34 +37,23 @@ def test_trace_histogram_matches_naive(p, e):
         assert kernels.trace_histogram(f) == kernels.naive_trace_histogram(f)
 
 
-def _refuse(route):
+@pytest.mark.parametrize(
+    "p,e", [(2, 8), (3, 5), (5, 4), (7, 3), (3, 1), (4093, 1), (5, 2), (61, 2)]
+)
+def test_route_below_cutoff_follows_the_extension_degree(monkeypatch, p, e):
+    """Below ZECH_MIN_Q, e >= 3 takes the trace form and F_p, F_{p^2} take
+    Horner, with coefficients anywhere in F_q; the other route raises."""
+    F = build_field(p, e)
+    assert F.q < kernels.ZECH_MIN_Q
+    rng = random.Random(p * 10 + e)
+    polys = [random_poly(F, deg, rng) for deg in (1, 2, 5)]
+    expected = [kernels.naive_trace_histogram(f) for f in polys]
+
     def refused(fbar):
-        raise AssertionError(f"{route} route taken for F_{fbar.field.p}^{fbar.field.e}")
+        raise AssertionError(f"wrong route for F_{p}^{e}")
 
-    return refused
-
-
-@pytest.mark.parametrize("p,e", [(2, 8), (3, 5), (5, 4), (7, 3)])
-def test_extension_fields_of_degree_3_up_take_the_trace_form(monkeypatch, p, e):
-    """Below ZECH_MIN_Q, e >= 3 still goes to the trace form, with
-    coefficients anywhere in F_q."""
-    F = build_field(p, e)
-    assert F.q < kernels.ZECH_MIN_Q
-    rng = random.Random(p * 10 + e)
-    polys = [random_poly(F, deg, rng) for deg in (1, 2, 5)]
-    expected = [kernels.naive_trace_histogram(f) for f in polys]
-    monkeypatch.setattr(kernels, "_trace_histogram_horner", _refuse("Horner"))
-    assert [kernels.trace_histogram(f) for f in polys] == expected
-
-
-@pytest.mark.parametrize("p,e", [(3, 1), (4093, 1), (5, 2), (61, 2)])
-def test_prime_fields_and_quadratic_extensions_below_cutoff_take_horner(monkeypatch, p, e):
-    F = build_field(p, e)
-    assert F.q < kernels.ZECH_MIN_Q
-    rng = random.Random(p * 10 + e)
-    polys = [random_poly(F, deg, rng) for deg in (1, 2, 5)]
-    expected = [kernels.naive_trace_histogram(f) for f in polys]
-    monkeypatch.setattr(kernels, "_trace_histogram_zech", _refuse("trace-form"))
+    other = "_trace_histogram_horner" if e >= 3 else "_trace_histogram_zech"
+    monkeypatch.setattr(kernels, other, refused)
     assert [kernels.trace_histogram(f) for f in polys] == expected
 
 
