@@ -202,7 +202,7 @@ def newton_polygon(lpoly: LPolynomial) -> ConvexPolygon:
     """
     n = lpoly.degree
     unit = lpoly.h * (lpoly.p - 1)  # v_pi(q)
-    vals = [pi_valuation(a) for a in lpoly.coeffs]
+    vals = [0] + [pi_valuation(a) for a in lpoly.coeffs[1:]]  # a_0 = 1, checked by LPolynomial
     if len(vals) <= n:
         for k, v in enumerate(vals):
             if 2 * (n + 1) * v < k * (k + 1) * unit:

@@ -2,16 +2,21 @@
 
 A polygon here is the graph of a piecewise-linear convex function anchored
 at the origin: vertices have strictly increasing x, strictly increasing
-slopes, and the first vertex is (0, 0).  Everything is fractions.Fraction;
-no floats anywhere, so comparisons like "gap is exactly 1/6" are honest.
+slopes, and the first vertex is (0, 0).  Vertices are Fraction pairs, and
+each polygon keeps one integer form, made when it is built: the common
+denominator D of its coordinates and the points (x*D, y*D).  Hulls,
+convexity checks, evaluation, gaps and lies_above cross-multiply on that
+form, with no float and no Fraction arithmetic; a Fraction is built only
+for a value handed back (evaluate, vertical_gap, slopes, slope_multiset).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DomainMismatch, MissingOrigin
 
@@ -22,9 +27,17 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _integer_form(pts: Sequence[Vertex]) -> tuple[int, list[tuple[int, int]]]:
+    """D, the least common denominator of the points, and the points times D."""
+    den = math.lcm(*(c.denominator for pt in pts for c in pt))
+    return den, [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+                 for x, y in pts]
+
+
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Vertices of a lower-convex chain starting at (0, 0)."""
+    """Vertices of a lower-convex chain starting at (0, 0).  vertices is the
+    only field (eq, hash); _den and _pts, the integer form, derive from it."""
 
     vertices: tuple[Vertex, ...]
 
@@ -33,19 +46,20 @@ class ConvexPolygon:
         object.__setattr__(self, "vertices", vs)
         if not vs:
             raise ValueError("a polygon needs at least one vertex")
-        if vs[0] != (0, 0):
+        den, pts = _integer_form(vs)
+        if pts[0] != (0, 0):
             raise MissingOrigin(f"first vertex is {vs[0]}, not (0, 0)")
-        for (x0, y0), (x1, y1) in zip(vs, vs[1:]):
-            if x1 <= x0:
-                raise ValueError("vertex x-coordinates must strictly increase")
-        slopes = self.slopes()
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if s1 <= s0:
-                raise ValueError("slopes must strictly increase (merge collinear points)")
+        steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+        if any(dx <= 0 for dx, _ in steps):
+            raise ValueError("vertex x-coordinates must strictly increase")
+        if any(dy1 * dx0 <= dy0 * dx1 for (dx0, dy0), (dx1, dy1) in zip(steps, steps[1:])):
+            raise ValueError("slopes must strictly increase (merge collinear points)")
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_pts", pts)
 
     def slopes(self) -> tuple[Fraction, ...]:
-        vs = self.vertices
-        return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(vs, vs[1:]))
+        ps = self._pts
+        return tuple(Fraction(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(ps, ps[1:]))
 
     @property
     def width(self) -> Fraction:
@@ -55,22 +69,29 @@ class ConvexPolygon:
     def end(self) -> Vertex:
         return self.vertices[-1]
 
+    def _value(self, n: int, b: int) -> tuple[int, int]:
+        """(num, den), den > 0, with value num / (den*D) at x = n / (b*D) in [0, width]."""
+        ps = self._pts
+        for (x0, y0), (x1, y1) in zip(ps, ps[1:]):
+            if n <= x1 * b:
+                return y0 * (x1 - x0) * b + (y1 - y0) * (n - x0 * b), (x1 - x0) * b
+        return ps[-1][1], 1
+
     def evaluate(self, x) -> Fraction:
         """Value of the piecewise-linear function at x in [0, width]."""
         x = _frac(x)
-        if x < 0 or x > self.width:
+        n, b = x.numerator * self._den, x.denominator
+        if n < 0 or n > self._pts[-1][0] * b:
             raise DomainMismatch(f"x = {x} outside [0, {self.width}]")
-        vs = self.vertices
-        for (x0, y0), (x1, y1) in zip(vs, vs[1:]):
-            if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return vs[-1][1]
+        num, den = self._value(n, b)
+        return Fraction(num, den * self._den)
 
     def slope_multiset(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """(slope, horizontal length) per segment, slopes strictly increasing."""
-        vs = self.vertices
+        ps, den = self._pts, self._den
         return tuple(
-            ((y1 - y0) / (x1 - x0), x1 - x0) for (x0, y0), (x1, y1) in zip(vs, vs[1:])
+            (Fraction(y1 - y0, x1 - x0), Fraction(x1 - x0, den))
+            for (x0, y0), (x1, y1) in zip(ps, ps[1:])
         )
 
 
@@ -79,23 +100,24 @@ def lower_hull(points: Iterable[tuple]) -> ConvexPolygon:
 
     Collinear vertices are merged, so the result's slopes strictly increase.
     """
-    pts = sorted((_frac(x), _frac(y)) for x, y in points)
-    for (x0, _), (x1, _) in zip(pts, pts[1:]):
-        if x0 == x1:
-            raise ValueError("points must have distinct x-coordinates")
-    if (Fraction(0), Fraction(0)) not in pts:
+    pts = [(_frac(x), _frac(y)) for x, y in points]
+    _, ints = _integer_form(pts)
+    rows = sorted(zip(ints, pts))
+    if any(a[0][0] == b[0][0] for a, b in zip(rows, rows[1:])):
+        raise ValueError("points must have distinct x-coordinates")
+    if (0, 0) not in ints:
         raise MissingOrigin("input points do not contain (0, 0)")
-    hull: list[Vertex] = []
-    for pt in pts:
+    hull: list[tuple[tuple[int, int], Vertex]] = []
+    for (x, y), pt in rows:
         while len(hull) >= 2:
-            (ax, ay), (bx, by) = hull[-2], hull[-1]
+            ((ax, ay), _), ((bx, by), _) = hull[-2], hull[-1]
             # keep only strict right turns for a lower hull; <= merges collinear
-            if (bx - ax) * (pt[1] - ay) - (by - ay) * (pt[0] - ax) <= 0:
+            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) <= 0:
                 hull.pop()
             else:
                 break
-        hull.append(pt)
-    return ConvexPolygon(tuple(hull))
+        hull.append(((x, y), pt))
+    return ConvexPolygon(tuple(pt for _, pt in hull))
 
 
 @functools.lru_cache(maxsize=64)  # a scan row asks for it three times
@@ -115,19 +137,23 @@ def slope_length(poly: ConvexPolygon, lam) -> Fraction:
     return Fraction(0)
 
 
-def _shared_xs(p: ConvexPolygon, q: ConvexPolygon) -> list[Fraction]:
-    if p.width != q.width:
+def _differences(p: ConvexPolygon, q: ConvexPolygon):
+    """p(x) - q(x) = num / den, den > 0, at each vertex x of either polygon."""
+    if p._pts[-1][0] * q._den != q._pts[-1][0] * p._den:
         raise DomainMismatch(f"polygons end at x = {p.width} and x = {q.width}")
-    xs = {x for x, _ in p.vertices} | {x for x, _ in q.vertices}
-    return sorted(xs)
+    den = math.lcm(p._den, q._den)
+    sp, sq = den // p._den, den // q._den
+    for x in {*(px * sp for px, _ in p._pts), *(qx * sq for qx, _ in q._pts)}:  # x / den
+        (a, b), (c, e) = p._value(x, sp), q._value(x, sq)
+        yield a * sp * e - c * sq * b, b * e * den
 
 
 def vertical_gap(p: ConvexPolygon, q: ConvexPolygon) -> Fraction:
     """max over all vertex x-coordinates of p(x) - q(x) (signed)."""
-    return max(p.evaluate(x) - q.evaluate(x) for x in _shared_xs(p, q))
+    by_value = functools.cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1])
+    return Fraction(*max(_differences(p, q), key=by_value))
 
 
 def lies_above(p: ConvexPolygon, q: ConvexPolygon) -> bool:
     """True when p(x) >= q(x) at every vertex of either polygon."""
-    return all(p.evaluate(x) >= q.evaluate(x) for x in _shared_xs(p, q))
-
+    return all(n >= 0 for n, _ in _differences(p, q))

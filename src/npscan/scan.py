@@ -195,7 +195,7 @@ def validate_record(rec: ScanRecord) -> None:
     hp = hodge_polygon(d)
     if not lies_above(rec.polygon, hp):
         raise InvariantViolation(f"p = {rec.p}: Newton polygon dips below Hodge")
-    if rec.polygon.end != (Fraction(d - 1), Fraction(d - 1, 2)):
+    if rec.polygon.end != hp.end:  # (d-1, (d-1)/2)
         raise InvariantViolation(f"p = {rec.p}: polygon does not end at (d-1, (d-1)/2)")
     if rec.p_mod_d == 1 and not rec.np_eq_hp:
         raise InvariantViolation(f"p = {rec.p} is 1 mod d but NP != HP")
@@ -398,6 +398,8 @@ def cache_load(path: str) -> dict[str, ScanRecord]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
+                obj = None
+            if not isinstance(obj, dict):  # not JSON, or JSON but not an entry
                 print(f"cache: skipping corrupt line {lineno} of {path}", file=sys.stderr)
                 continue
             if obj.get("version") != CACHE_VERSION:

@@ -5,6 +5,7 @@ exit codes, and stream separation are exercised exactly as a user sees them.
 """
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from npscan import cli as cli_module, lfunction
+from npscan import cli as cli_module, lfunction, scan as scan_module
 from npscan.cli import main, parse_poly
 from npscan.cyclotomic import CycInt
 from npscan.dickson import DicksonSpec, dickson
@@ -225,6 +226,26 @@ def test_cache_version_mismatch_is_a_miss(tmp_path):
     assert CACHE_VERSION == "npscan-cache-1"
 
 
+@pytest.mark.parametrize("bad", ["42", "[]", "null", '"entry"'])
+def test_cache_skips_json_that_is_not_an_entry(tmp_path, capsys, monkeypatch, bad):
+    """A line that parses as JSON but is not an object is a corrupt line; the
+    valid lines after it still replay."""
+    path = tmp_path / "c.jsonl"
+    args = ["scan", "x^3", "--p-max", "13", "--no-timing", "--cache", str(path)]
+    assert main(args) == 0
+    fresh = capsys.readouterr().out
+    path.write_text(bad + "\n" + path.read_text())
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a cached prime was recomputed")
+
+    monkeypatch.setattr(scan_module, "scan_record", no_compute)
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out == fresh
+    assert f"cache: skipping corrupt line 1 of {path}" in err
+
+
 def test_cache_replay_derives_columns_from_vertices(tmp_path):
     """A cache line's gap/np_eq_hp/... are not trusted: they follow its vertices."""
     path = str(tmp_path / "cache.jsonl")
@@ -312,6 +333,31 @@ def test_parse_poly_rejects_garbage():
     for bad in ("x^3 +", "x^3 + + x", "", "x^^2", "x^3 y"):
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+# sha256 of stdout of the benchmark's scans (perfbench/workloads.py),
+# taken before polygons.py moved to its integer form
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["scan", "x^3", "--p-max", "300", "--no-timing"],
+            "69c352fbcd6f068807cbbdde13b2121de15e94c23bd1f48fc33e959e217c78a6",
+        ),
+        (
+            ["scan", "dickson(5,1)", "--p-max", "47", "--no-timing"],
+            "e30c9a30399bebc1cf227d3c3b7e1d69ed527cc31d78a312bc7d8de9438d78c5",
+        ),
+        (
+            ["scan", "x^3", "--p-max", "300", "--no-timing", "--format", "json"],
+            "acd6c8dd8b8bf40711d51073b98e63b36355745750b44567d64ea52d0bb20a10",
+        ),
+    ],
+    ids=["scan-x3-csv", "scan-d5-csv", "scan-x3-json"],
+)
+def test_benchmark_scan_stdout_digest(capsys, args, digest):
+    assert main(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
