@@ -314,6 +314,8 @@ def find_dickson_factor(f, require_gpp: bool = False) -> DicksonFactorisation | 
     i.e. permute F_p for infinitely many p.
     """
     fq = as_poly(f)
+    if degree(fq) < 2:  # no composition factor of degree > 1
+        return None
     chain = decompose(fq)
     for i, u in enumerate(chain.factors):
         if degree(u) < 2:

@@ -1,16 +1,18 @@
 """Vectorized whole-field enumeration: bulk evaluation and trace histograms.
 
-The Horner kernels do exact int64 arithmetic.  Values stay reduced below p
-between Horner steps, so the worst intermediate is bounded by e*(p-1)^2
-after a coefficient convolution and by e*(e-1)*(p-1)^3 inside the
-modulus-reduction step; the entry guard checks both against 2^62 and raises
-BudgetExceeded for a field past the bound (F_p first fails at p = 2^31 + 11,
-far above the default budget of 1e8 elements), so no input yields wrapped
-numbers.  The Zech route checks the same bound, then runs its trace-form
-product in float64 while its sums stay below 2^53 (exact there) and in
-int64, reduced mod p after each term, beyond.  Its per-field set-up (a
-generator and the trace form) is built once per field and kept in a
-bounded cache; everything else is per call.
+Every kernel here multiplies in F_q one way: by the e x e multiplication
+matrices of _mul_matrices, whose row i is x^i times an element.  Entries
+stay reduced below p between steps, so a product of a digit row and such
+a matrix, plus one more digit (a Horner coefficient, a running trace), is
+at most e*(p-1)^2 + (p-1).  The entry guards check that against 2^62 and
+raise BudgetExceeded for a field past it (F_p first fails at
+p = 2^31 + 11, F_{p^2} near q = 2.3e18; for e >= 3 the bound passes 2^63
+and only the enumeration budget, 1e8 elements by default, limits q), so
+no input yields wrapped numbers.  The Zech route runs its trace-form product in
+float64 while its sums stay below 2^53 (exact there) and in int64, reduced
+mod p after each term, beyond.  Its per-field set-up (a generator and the
+trace form) is built once per field and kept in a bounded cache;
+everything else is per call.
 
 trace_histogram reads its route from the field: Horner for F_p and F_{p^2}
 below ZECH_MIN_Q = 2^12, the Zech route for every other field, extension
@@ -18,18 +20,18 @@ fields of degree e >= 3 at every q.  Per call, in ms (Horner / Zech with
 its per-field set-up cold / cached; random monic f with F_p coefficients,
 2-core x86-64, numpy 2.4):
 
-    field       d = 3               d = 7
-    F_{3^7}     -                   8.2 / 1.6 / 0.6
-    F_{5^5}     3.3 / 0.6 / 0.2     6.7 / 1.3 / 0.6
-    F_{2^11}    7.6 / 1.5 / 0.5     16.7 / 1.2 / 0.5
-    F_{7^4}     1.7 / 1.0 / 0.4     -
-    F_{5^4}     0.7 / 0.9 / 0.3     1.4 / 1.0 / 0.5
-    F_{7^3}     0.2 / 0.4 / 0.1     -
-    F_{47^2}    0.8 / 0.9 / 0.5     1.6 / 1.3 / 1.2
-    F_{2003}    0.5 / 0.8 / 0.7     0.7 / 0.9 / 0.8
+    field       d = 3                 d = 7
+    F_{3^7}     1.24 / 0.47 / 0.14    1.78 / 0.54 / 0.21
+    F_{5^5}     1.09 / 0.42 / 0.15    1.58 / 0.45 / 0.18
+    F_{2^11}    3.36 / 0.66 / 0.16    4.23 / 0.74 / 0.23
+    F_{7^4}     0.59 / 0.32 / 0.13    0.86 / 0.38 / 0.18
+    F_{5^4}     0.18 / 0.26 / 0.10    0.27 / 0.32 / 0.14
+    F_{7^3}     0.08 / 0.24 / 0.09    0.13 / 0.28 / 0.14
+    F_{47^2}    0.22 / 0.29 / 0.16    0.37 / 0.45 / 0.30
+    F_{2003}    0.22 / 0.28 / 0.25    0.28 / 0.32 / 0.29
 
 Cold, the Zech route loses only on the smallest e = 3 or 4 fields, by
-under 0.3 ms; a field's set-up is paid once and the cache keeps it.  Below
+under 0.2 ms; a field's set-up is paid once and the cache keeps it.  Below
 2^12, Horner stays ahead on F_p and about even on F_{p^2}.
 
 Element number k of F_{p^e} has the base-p digits of k as its coefficient
@@ -52,32 +54,17 @@ _CHUNK = 1 << 16
 
 @functools.lru_cache(maxsize=64)
 def _int64_limit(e: int) -> int:
-    """Largest q = P^e whose Horner intermediates stay below 2^62."""
+    """Largest q = P^e whose products stay below 2^62: a row of reduced
+    digits times an e x e matrix of them, plus one reduced digit."""
 
     def worst(p: int) -> int:
-        conv_max = e * (p - 1) ** 2 + (p - 1)
-        return conv_max + (e - 1) * conv_max * (p - 1)
+        return e * (p - 1) ** 2 + (p - 1)
 
     lo, hi = 2, 2**32  # worst(lo) < 2^62 <= worst(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if worst(mid) < 2**62 else (lo, mid)
     return lo**e
-
-
-def _reduction_rows(field: FiniteField) -> np.ndarray:
-    """Row k is x^(e+k) mod modulus, k = 0..e-2, as vectors over F_p."""
-    p, e, m = field.p, field.e, field.modulus
-    rows = np.zeros((max(e - 1, 0), e), dtype=np.int64)
-    cur = [(-m[i]) % p for i in range(e)]  # x^e mod m
-    for k in range(e - 1):
-        rows[k] = cur
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for i in range(e):
-                cur[i] = (cur[i] + top * rows[0][i]) % p
-    return rows
 
 
 def _element_block(field: FiniteField, start: int, stop: int) -> np.ndarray:
@@ -88,18 +75,19 @@ def _element_block(field: FiniteField, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _mul_block(A: np.ndarray, B: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
-    n, e = A.shape
-    if e == 1:
-        return A * B % p
-    conv = np.zeros((n, 2 * e - 1), dtype=np.int64)
-    for i in range(e):
-        col = A[:, i]
-        for j in range(e):
-            conv[:, i + j] += col * B[:, j]
-    low = conv[:, :e]
-    low += conv[:, e:] @ red
-    return low % p
+def _mul_matrices(field: FiniteField, Y: np.ndarray) -> np.ndarray:
+    """Matrix n has row i = x^i * Y[n], so a coefficient row u gives
+    u @ matrix n = u * Y[n]; Y holds reduced digit rows."""
+    p, e = field.p, field.e
+    xe = np.array([-c % p for c in field.modulus[:e]], dtype=np.int64)  # x^e
+    mats = np.empty((len(Y), e, e), dtype=np.int64)
+    mats[:, 0] = Y
+    for i in range(1, e):
+        prev = mats[:, i - 1]
+        mats[:, i, 0] = 0
+        mats[:, i, 1:] = prev[:, :-1]
+        mats[:, i] = (mats[:, i] + prev[:, -1:] * xe) % p
+    return mats
 
 
 def eval_blocks(fbar: FieldPolynomial) -> Iterator[tuple[int, np.ndarray]]:
@@ -114,23 +102,22 @@ def eval_blocks(fbar: FieldPolynomial) -> Iterator[tuple[int, np.ndarray]]:
     limit = _int64_limit(e)
     if q > limit:
         raise BudgetExceeded(q, limit)
-    red = _reduction_rows(field)
     rows = fbar.int_rows()
     coeffs = np.array(rows, dtype=np.int64) if rows else np.zeros((0, e), dtype=np.int64)
     d = len(rows) - 1
+    size = _CHUNK // e  # a block's matrices X hold _CHUNK * e entries
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        for start in range(0, q, _CHUNK):
-            stop = min(start + _CHUNK, q)
-            E = _element_block(field, start, stop)
+        for start in range(0, q, size):
+            stop = min(start + size, q)
             n = stop - start
             if d < 0:
                 yield start, np.zeros((n, e), dtype=np.int64)
                 continue
+            X = _mul_matrices(field, _element_block(field, start, stop))
             V = np.tile(coeffs[d], (n, 1))
             for k in range(d - 1, -1, -1):
-                V = _mul_block(V, E, red, p)
-                V += coeffs[k]
+                V = (V[:, None, :] @ X)[:, 0] + coeffs[k]
                 V %= p
             yield start, V
 
@@ -193,21 +180,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _mul_matrices(field: FiniteField, Y: np.ndarray) -> np.ndarray:
-    """Matrix n has row i = x^i * Y[n], so a coefficient row u gives
-    u @ matrix n = u * Y[n]; Y holds reduced digit rows."""
-    p, e = field.p, field.e
-    xe = np.array([-c % p for c in field.modulus[:e]], dtype=np.int64)  # x^e
-    mats = np.empty((len(Y), e, e), dtype=np.int64)
-    mats[:, 0] = Y
-    for i in range(1, e):
-        prev = mats[:, i - 1]
-        mats[:, i, 0] = 0
-        mats[:, i, 1:] = prev[:, :-1]
-        mats[:, i] = (mats[:, i] + prev[:, -1:] * xe) % p
-    return mats
 
 
 def _full_order(field: FiniteField, Y: np.ndarray, exponents: list[int]) -> np.ndarray:
@@ -284,7 +256,7 @@ def _zech_field(field: FiniteField) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
     field = fbar.field
     p, e, q = field.p, field.e, field.q
-    limit = _int64_limit(e)  # bounds e*(p-1)^2 + p below 2^62
+    limit = _int64_limit(e)
     if q > limit:
         raise BudgetExceeded(q, limit)
     terms = [(k, c) for k, c in enumerate(fbar.coeffs) if k and not c.is_zero()]

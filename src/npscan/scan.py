@@ -29,7 +29,8 @@ from typing import IO, Sequence
 
 from . import ratpoly
 from .dickson import DicksonSpec, find_dickson_factor, is_admissible
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import BudgetExceeded, InvariantViolation, NotPrime
+from .fields import is_prime
 from .lfunction import np_at_prime
 from .polygons import ConvexPolygon, hodge_polygon, lies_above, vertical_gap
 
@@ -110,11 +111,16 @@ class ScanRecord:
         return None if self.polygon is None else self.polygon == hodge_polygon(self.d)
 
     @functools.cached_property
+    def slopes(self) -> tuple[tuple[Fraction, Fraction], ...] | None:
+        """(slope, horizontal length) per segment, built once per record."""
+        return None if self.polygon is None else self.polygon.slope_multiset()
+
+    @functools.cached_property
     def v0(self) -> Fraction | None:
         """The smallest slope of multiplicity >= 2, if any."""
         if self.polygon is None:
             return None
-        return next((s for s, length in self.polygon.slope_multiset() if length >= 2), None)
+        return next((s for s, length in self.slopes if length >= 2), None)
 
     @property
     def slope_mult_ge2(self) -> bool | None:
@@ -165,6 +171,8 @@ def scan_record(
     timing: bool = True,
 ) -> ScanRecord:
     """Compute one record; budget blowups land in the error field."""
+    if not is_prime(p):  # before char % p reads it
+        raise NotPrime(f"{p} is not prime")
     fq = ratpoly.as_poly(f)
     d = ratpoly.degree(fq)
     admissible = _admissible(p, hint)
@@ -212,7 +220,7 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
     if d < 1 or not ratpoly.is_monic(fq):
         raise ValueError("f must be monic of degree >= 1")
     hint = opts.hint
-    if hint is None and opts.auto_hint and d >= 2:
+    if hint is None and opts.auto_hint:
         fact = find_dickson_factor(fq, require_gpp=True)
         if fact is not None:
             hint = fact.spec
@@ -285,7 +293,7 @@ def record_values(rec: ScanRecord) -> tuple:
         rec.c,
         rec.d,
         None if poly is None else poly.vertices,
-        None if poly is None else poly.slope_multiset(),
+        rec.slopes,
         rec.gap,
         rec.np_eq_hp,
         rec.p_mod_d,

@@ -1,8 +1,9 @@
 """Dual-route checks for the vectorized kernels.
 
 Every fast path has a slow twin: Horner-block evaluation vs elementwise
-Python evaluation, and the Zech route vs both.  The routes share no code
-beyond the field definition itself.
+Python evaluation, and the Zech route vs both.  Horner and Zech share the
+multiplication matrices of _mul_matrices; the independent path is the
+pure-Python oracle naive_trace_histogram, which multiplies FieldElements.
 
 Which inputs each route takes:
 
@@ -37,6 +38,23 @@ def test_trace_histogram_matches_naive(p, e):
         assert kernels.trace_histogram(f) == kernels.naive_trace_histogram(f)
 
 
+@pytest.mark.parametrize("chunk", [None, 16])
+@pytest.mark.parametrize("p,e", [(11, 1), (101, 1), (5, 2), (13, 2), (3, 3), (2, 5), (5, 3)])
+def test_horner_matches_naive(monkeypatch, p, e, chunk):
+    """Horner on every extension degree, e >= 3 included (trace_histogram
+    sends those to the Zech route); _CHUNK = 16 cuts a call into blocks of
+    16 // e elements, so each call spans many blocks."""
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    rng = random.Random(p * 100 + e)
+    F = build_field(p, e)
+    for deg in (0, 1, 2, 5):
+        f = random_poly(F, deg, rng)
+        assert kernels._trace_histogram_horner(f) == kernels.naive_trace_histogram(f)
+    zero = F.poly([])
+    assert kernels._trace_histogram_horner(zero) == kernels.naive_trace_histogram(zero)
+
+
 @pytest.mark.parametrize(
     "p,e", [(2, 8), (3, 5), (5, 4), (7, 3), (3, 1), (4093, 1), (5, 2), (61, 2)]
 )
@@ -60,7 +78,7 @@ def test_route_below_cutoff_follows_the_extension_degree(monkeypatch, p, e):
 @pytest.mark.parametrize("p,e", [(3, 8), (5, 6), (7, 5), (2, 13), (4099, 1)])
 def test_zech_and_horner_routes_agree(p, e):
     """Fields past the Zech cutoff: compare the trace-form route against
-    the Horner-block route explicitly (these share no evaluation code)."""
+    the Horner-block route explicitly (these share only _mul_matrices)."""
     rng = random.Random(e)
     F = build_field(p, e)
     assert F.q > kernels.ZECH_MIN_Q
@@ -158,14 +176,16 @@ def test_histogram_total_is_field_size():
     assert sum(kernels.trace_histogram(f)) == F.q
 
 
-def test_value_codes_match_direct_eval():
+def test_value_codes_match_direct_eval(monkeypatch):
     F = build_field(3, 2)
     f = F.poly([1, 2, 1])
-    codes = kernels.value_codes(f)
     weights = [3**i for i in range(2)]
-    for k in range(9):
-        v = f(F.from_index(k))
-        assert codes[k] == sum(c * w for c, w in zip(v.coeffs, weights))
+    for chunk in (4, kernels._CHUNK):  # five blocks of two, then one block
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        codes = kernels.value_codes(f)
+        for k in range(9):
+            v = f(F.from_index(k))
+            assert codes[k] == sum(c * w for c, w in zip(v.coeffs, weights))
 
 
 def test_distinct_value_count():
@@ -174,10 +194,12 @@ def test_distinct_value_count():
     assert kernels.distinct_value_count(F.poly([0, 0, 1])) == 3  # squares: 0,1,4
 
 
-def test_find_first_root_matches_scan():
+def test_find_first_root_matches_scan(monkeypatch):
     F = build_field(3, 4)
     sub = build_field(3, 2)
     idx = kernels.find_first_root(F, sub.modulus)
+    monkeypatch.setattr(kernels, "_CHUNK", 16)  # blocks of four elements
+    assert idx >= 8 and kernels.find_first_root(F, sub.modulus) == idx
     root = F.from_index(idx)
     acc = F.zero()
     for i, c in enumerate(sub.modulus):

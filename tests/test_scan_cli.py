@@ -543,3 +543,23 @@ def test_cli_crosscheck_runs_dickson_checks():
     assert res.returncode == 0
     assert "dickson-divisibility" in res.stdout
     assert "pass" in res.stdout and "fail" not in res.stdout
+
+
+@pytest.mark.parametrize("poly,p", [("x", "5"), ("x+1", "7")])
+def test_cli_crosscheck_linear_polynomial_skips_dickson_checks(capsys, poly, p):
+    """A linear f has no composition factor of degree > 1, so no Dickson factor."""
+    assert main(["crosscheck", poly, p]) == 0
+    assert capsys.readouterr().out == (
+        "product-formula         pass\n"
+        "slope-length-relation   pass\n"
+        "base-change-invariance  pass\n"
+        "character-independence  pass\n"
+        "dickson-divisibility    skipped (no Dickson factor)\n"
+        "dickson-sum-collapse    skipped (no Dickson factor)\n"
+    )
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4", "-3"])
+def test_cli_np_checks_p_is_prime_first(capsys, p):
+    assert main(["np", "x^3", p]) == 2
+    assert capsys.readouterr() == ("", f"error: {p} is not prime\n")
