@@ -18,8 +18,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import ratpoly
-from .cyclotomic import CycInt, as_rational_integer, int_valuation
+from .cyclotomic import CycInt, as_rational_integer, int_valuation, poly_mul
 from .errors import DegreeCharClash, InternalDivisibility
 from .fields import FieldPolynomial, check_enum_budget
 from .lfunction import Character, l_polynomial, newton_polygon, trace_counts
@@ -88,19 +90,16 @@ def curve_newton_polygon(b: Sequence[int], p: int, h: int) -> ConvexPolygon:
 def product_formula_check(gbar: FieldPolynomial, budget: int | None = None) -> bool:
     """P_1(C(gbar), t) equals the product of L(gbar, chi_c, t) over c = 1..p-1.
 
-    The product is expanded exactly in Z[zeta_p][t]; every coefficient must
-    come out rational, and the integer polynomials must agree.
+    The product is expanded exactly in Z[zeta_p][t], one whole polynomial
+    per character (cyclotomic.poly_mul); every coefficient must come out
+    rational, and the integer polynomials must agree.
     """
     p = gbar.field.p
-    product: list[CycInt] = [CycInt.one(p)]
+    product = CycInt.one(p).vec[None]
     for c in range(1, p):
         lp = l_polynomial(gbar, Character(p, c), budget)
-        new = [CycInt.zero(p) for _ in range(len(product) + lp.degree)]
-        for i, a in enumerate(product):
-            for j, bcoef in enumerate(lp.coeffs):
-                new[i + j] = new[i + j] + a * bcoef
-        product = new
-    lhs = tuple(as_rational_integer(a) for a in product)
+        product = poly_mul(p, product, np.stack([a.vec for a in lp.coeffs]))
+    lhs = tuple(as_rational_integer(CycInt(p, row)) for row in product)
     return lhs == p1_polynomial(gbar, budget)
 
 

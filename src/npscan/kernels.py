@@ -141,7 +141,7 @@ def _trace_histogram_horner(fbar: FieldPolynomial) -> list[int]:
     for _, V in blocks:
         T = (V @ tvec) % p
         hist += np.bincount(T, minlength=p)
-    return [int(v) for v in hist]
+    return hist.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
     hist[tr0] += 1  # x = 0 contributes Tr(c_0)
     if not terms:
         hist[tr0] += q - 1
-        return [int(v) for v in hist]
+        return hist.tolist()
 
     B = math.isqrt(q - 2) + 1  # ceil(sqrt(q - 1))
     A = (q - 2) // B + 1
@@ -293,7 +293,7 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
         np.add.at(hist, (np.arange(top + 1) + tr0) % p, counts)
     else:
         hist += counts
-    return [int(v) for v in hist]
+    return hist.tolist()
 
 
 def value_codes(fbar: FieldPolynomial) -> np.ndarray:

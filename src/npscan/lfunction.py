@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import kernels, ratpoly
 from .cyclotomic import CycInt, exact_div_int, pi_valuation
 from .errors import (
@@ -107,17 +109,19 @@ def exp_sum(fbar: FieldPolynomial, m: int, chi: Character, budget: int | None = 
     if chi.p != p:
         raise CharacteristicMismatch(f"character mod {chi.p} vs field of characteristic {p}")
     hist = trace_counts(fbar, m, budget)
-    counts = [0] * p
-    for a, t in enumerate(hist):
-        counts[a * chi.c % p] += t
+    counts = np.zeros(p, dtype=np.int64)
+    counts[np.arange(p) * chi.c % p] = hist  # a -> c a permutes F_p
     return CycInt.from_root_counts(p, counts)
 
 
 def _newton_sum(sums: Sequence[CycInt], coeffs: Sequence[CycInt]) -> CycInt:
-    """sum_{j=1..k} S_j a_(k-j) for k = len(coeffs): k times the next a_k."""
+    """sum_{j=1..k} S_j a_(k-j) for k = len(coeffs): k times the next a_k.
+
+    a_0 = 1, so the sum starts from its j = k term S_k and multiplies only
+    for j < k: none for a_1, one for a_2."""
     k = len(coeffs)
-    acc = CycInt.zero(coeffs[0].p)
-    for j in range(1, k + 1):
+    acc = sums[k - 1]
+    for j in range(1, k):
         acc = acc + sums[j - 1] * coeffs[k - j]
     return acc
 

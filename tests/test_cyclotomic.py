@@ -7,17 +7,25 @@ arithmetic mod p) and then eliminates zeta^(p-1) with the minimal relation
 The valuation oracle is the binomial sum: substituting zeta = 1 - pi gives
 a = sum_j b_j pi^j with integer b_j, j <= p-2, and the minimum of
 j + (p-1) v_p(b_j) over nonzero b_j is v_pi(a) (the j are distinct mod
-p-1).  It costs O(p^2) bigint work; the library uses synthetic division.
+p-1).  It costs O(p^2) bigint work; the library reads the first b_j that
+is nonzero mod p off one correlation with inverse factorials mod p.
+
+Both oracles run on Python ints.  The library keeps int64 vectors while
+each result stays below 2^62 and switches to dtype=object above that, so
+the boundary cases below take coefficients near 2^62 / p and p^40 times a
+unit across it.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from npscan.cyclotomic import (
     INFINITY,
+    INT64_LIMIT,
     CycInt,
     as_rational_integer,
     exact_div_int,
@@ -26,7 +34,7 @@ from npscan.cyclotomic import (
     pi_valuation,
     zeta_power,
 )
-from npscan.errors import NotAUnit, NotDivisible, NotPrime, NotRational
+from npscan.errors import NotAUnit, NotDivisible, NotPrime, NotRational, PrimeMismatch
 
 
 def naive_mul(a: CycInt, b: CycInt) -> CycInt:
@@ -46,10 +54,10 @@ def random_cyc(p, rng, bound=9):
 def binomial_pi_valuation(a: CycInt):
     if a.is_zero():
         return INFINITY
-    p = a.p
+    p, coeffs = a.p, a.coeffs
     best = INFINITY
     for j in range(p - 1):
-        b = sum(a.coeffs[i] * math.comb(i, j) for i in range(j, p - 1)) * (-1) ** (j % 2)
+        b = sum(coeffs[i] * math.comb(i, j) for i in range(j, p - 1)) * (-1) ** (j % 2)
         if b:
             best = min(best, j + (p - 1) * int_valuation(b, p))
     return best
@@ -232,3 +240,117 @@ def test_ring_laws_p5(t1, t2, t3):
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a * b == naive_mul(a, b)
+
+
+# -- the int64 / object boundary ----------------------------------------------
+
+
+def naive_galois(a: CycInt, c: int) -> CycInt:
+    p = a.p
+    full = [0] * p
+    for i, ai in enumerate(a.coeffs):
+        full[i * c % p] += ai
+    return CycInt(p, tuple(full[i] - full[p - 1] for i in range(p - 1)))
+
+
+def assert_canonical(a: CycInt):
+    """int64 exactly when every entry is below 2^62; coeffs are Python ints."""
+    big = max(abs(c) for c in a.coeffs) >= INT64_LIMIT
+    assert a.vec.dtype == (object if big else np.int64)
+    assert all(type(c) is int for c in a.coeffs)
+    assert a.coeffs is a.coeffs  # built once
+
+
+def near_limit(p, rng, over):
+    """Coefficients of size about 2^62 / p, times 9 * 2p when over."""
+    top = INT64_LIMIT // p * (18 * p if over else 1)
+    return CycInt(p, tuple(rng.randint(-top, top) for _ in range(p - 1)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 31])
+def test_products_cross_the_bound_exactly(p):
+    rng = random.Random(5000 + p)
+    for _ in range(20):
+        a, small = near_limit(p, rng, False), random_cyc(p, rng)
+        assert a.vec.dtype == np.int64
+        for x, y in ((a, small), (small, a), (a, a), (near_limit(p, rng, True), a)):
+            prod = x * y
+            assert prod == naive_mul(x, y)
+            assert_canonical(prod)
+        assert a * 2**70 == CycInt(p, tuple(c * 2**70 for c in a.coeffs))
+        assert 0 * a == CycInt.zero(p)
+
+
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_sums_and_galois_cross_the_bound_and_back(p):
+    rng = random.Random(6000 + p)
+    half = INT64_LIMIT // 2
+    for _ in range(30):
+        signs = [rng.choice([-1, 1]) for _ in range(p - 1)]
+        a = CycInt(p, tuple(s * rng.randint(half, INT64_LIMIT - 1) for s in signs))
+        b = near_limit(p, rng, False)
+        assert a.vec.dtype == np.int64
+        total = a + a
+        assert total.coeffs == tuple(2 * c for c in a.coeffs)
+        assert_canonical(total)
+        back = total - a  # computed in object, stored as int64 again
+        assert back == a and hash(back) == hash(a)
+        assert back.vec.dtype == np.int64
+        assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+        c = rng.randrange(1, p)
+        assert galois_apply(a, c) == naive_galois(a, c)
+        assert_canonical(galois_apply(a, c))
+        assert galois_apply(total, c) == naive_galois(total, c)
+        assert -total == CycInt(p, tuple(-x for x in total.coeffs))
+
+
+@pytest.mark.parametrize("p", [3, 7, 101])
+def test_big_multiples_of_p_divide_and_value_exactly(p):
+    rng = random.Random(7000 + p)
+    big = p**40
+    for trial in range(12):
+        unit = random_cyc(p, rng)
+        while unit.is_zero():
+            unit = random_cyc(p, rng)
+        a = unit * big + random_cyc(p, rng) * p**41 if trial % 2 else unit * big
+        assert a.vec.dtype == object
+        assert_canonical(a)
+        assert pi_valuation(a) == binomial_pi_valuation(a) >= 40 * (p - 1)
+        q = exact_div_int(a, big)
+        assert q.coeffs == tuple(c // big for c in a.coeffs)
+        assert_canonical(q)  # back to int64
+        assert exact_div_int(a, p).coeffs == tuple(c // p for c in a.coeffs)
+        assert exact_div_int(q, -1) == -q
+    with pytest.raises(NotDivisible, match=f"^1 not divisible by {big}$"):
+        exact_div_int(CycInt.one(p), big)
+    odd = CycInt(p, (big + 1,) + (0,) * (p - 2))
+    with pytest.raises(NotDivisible, match=f"^{big + 1} not divisible by {p}$"):
+        exact_div_int(odd, p)
+    assert exact_div_int(CycInt.zero(p), big) == CycInt.zero(p)
+    with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+        exact_div_int(odd, 0)
+
+
+def test_public_surface_keeps_its_errors_and_values():
+    with pytest.raises(PrimeMismatch, match="^p = 3 vs p = 5$"):
+        CycInt.one(3) + CycInt.one(5)
+    with pytest.raises(PrimeMismatch, match="^p = 5 vs p = 3$"):
+        CycInt.one(5) * CycInt.one(3)
+    with pytest.raises(ValueError, match="^need 4 basis coefficients for p = 5, got 3$"):
+        CycInt(5, (1, 2, 3))
+    with pytest.raises(ValueError, match="^need 5 exponent counts$"):
+        CycInt.from_root_counts(5, [1, 2])
+    with pytest.raises(NotRational, match="has a nonzero zeta component$"):
+        as_rational_integer(CycInt(3, (2**70, 1)))
+    assert as_rational_integer(CycInt.from_int(7, -(2**70))) == -(2**70)
+    assert type(as_rational_integer(CycInt.from_int(7, 3))) is int
+    assert_canonical(CycInt(3, (-(2**63), 1)))  # abs(-2^63) wraps in int64
+    huge = CycInt.from_root_counts(3, [2**63, 0, 1])
+    assert huge == CycInt(3, (2**63 - 1, -1))
+    assert_canonical(huge)
+    a = CycInt(5, (1, -2, 3, 0))
+    assert {a: 1}[CycInt.from_root_counts(5, [1, -2, 3, 0, 0])] == 1
+    assert a != CycInt(7, (1, -2, 3, 0, 0, 0)) and a != (1, -2, 3, 0)
+    assert repr(a) == "CycInt(p=5, [1, -2, 3, 0])"
+    with pytest.raises(ValueError):
+        a.vec[0] = 7  # read-only

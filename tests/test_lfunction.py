@@ -240,11 +240,17 @@ def stickelberger_polygon(d, p):
 
 
 @pytest.mark.parametrize(
-    "d,p", [(3, 10007), (3, 10009), (4, 503), (4, 509), (5, 211), (5, 223), (5, 227), (5, 229)]
+    "d,p",
+    [
+        (3, 10007), (3, 10009), (4, 503), (4, 509), (4, 10007), (4, 10009),
+        (5, 211), (5, 223), (5, 227), (5, 229), (5, 2011),
+    ],
 )
 def test_np_of_monomial_matches_stickelberger(d, p):
     """Oracle only: np_at_prime still enumerates.  Every prime here is out of
-    the full path's reach, which enumerates F_{p^(d-1)}."""
+    the full path's reach, which enumerates F_{p^(d-1)}.  At (5, 2011),
+    p = 1 mod 5, so a_2 needs the dense product S_1 a_1 of two vectors with
+    2010 entries."""
     assert p ** (d - 1) > DEFAULT_ENUM_BUDGET
     xd = Q(*[0] * d, 1)
     assert np_at_prime(xd, p) == stickelberger_polygon(d, p)
