@@ -230,6 +230,9 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+_LAG_BLOCK = 512  # lags in pi_valuation's first correlation block
+
+
 @functools.lru_cache(maxsize=8)
 def _factorials(p: int) -> tuple[np.ndarray, np.ndarray]:
     """n! and 1/n! mod p for n = 0..p-2, in the dtype of pi_valuation's sums.
@@ -260,9 +263,11 @@ def pi_valuation(a: CycInt) -> int | float:
 
     j is the first i whose Taylor coefficient b_i = sum_n r_n C(n, i) at
     x = 1 is nonzero mod p.  As n < p, i! b_i = sum_n u_n w_(n-i) with
-    u_n = r_n n! and w_m = 1/m! mod p, so one correlation of u with w gives
-    every i! b_i at once: O(p^2) multiply-adds in numpy.  Its sums stay
-    below p^3, so they run in int64 while p^3 < 2^62 (p up to about
+    u_n = r_n n! and w_m = 1/m! mod p, so a correlation of u with w gives
+    the i! b_i: O(p^2) multiply-adds in numpy.  It runs on blocks of lags,
+    _LAG_BLOCK first and doubling, and stops at the first block that holds
+    j; the first block covers every lag for p <= _LAG_BLOCK + 1.  Its sums
+    stay below p^3, so they run in int64 while p^3 < 2^62 (p up to about
     1.6e6).  Returns INFINITY for zero.
     """
     if a.is_zero():
@@ -271,8 +276,16 @@ def pi_valuation(a: CycInt) -> int | float:
     t = int_valuation(int(np.gcd.reduce(a.vec)), p)
     fact, inv = _factorials(p)
     r = (a.vec // p**t % p).astype(fact.dtype)
-    sums = np.correlate(r * fact % p, inv, "full")[p - 2 :]
-    return (p - 1) * t + int(np.flatnonzero(sums % p)[0])
+    u, n = r * fact % p, p - 1
+    start, size = 0, _LAG_BLOCK
+    while True:  # r != 0 has degree <= p - 2, so some lag j < n is nonzero
+        stop = min(start + size, n)
+        window = np.zeros(n - start + stop - start - 1, dtype=u.dtype)
+        window[: n - start] = u[start:]  # lag i sums u[i + m] w[m]
+        hits = np.flatnonzero(np.correlate(window, inv[: n - start], "valid") % p)
+        if hits.size:
+            return (p - 1) * t + start + int(hits[0])
+        start, size = stop, 2 * size
 
 
 def galois_apply(a: CycInt, c: int) -> CycInt:

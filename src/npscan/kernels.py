@@ -8,31 +8,46 @@ at most e*(p-1)^2 + (p-1).  The entry guards check that against 2^62 and
 raise BudgetExceeded for a field past it (F_p first fails at
 p = 2^31 + 11, F_{p^2} near q = 2.3e18; for e >= 3 the bound passes 2^63
 and only the enumeration budget, 1e8 elements by default, limits q), so
-no input yields wrapped numbers.  The Zech route runs its trace-form product in
-float64 while its sums stay below 2^53 (exact there) and in int64, reduced
-mod p after each term, beyond.  Its per-field set-up (a generator and the
-trace form) is built once per field and kept in a bounded cache;
-everything else is per call.
+no input yields wrapped numbers.
+
+The Zech route counts Tr(f(x)) as a product of two sqrt(q)-row factors
+(see the comment above ZECH_MIN_Q) and takes two Frobenius identities,
+Tr(y^p) = Tr(y) and, for even e, sigma(y) = y^(p^(e/2)) of order 2:
+
+* Tr(c x^(p j)) = Tr(c^(1/p) x^j), so a term whose degree p divides
+  merges into a lower one (x^3 and x^6 into x and x^2 for p = 3), and
+  merged terms that cancel drop out;
+* for even e, g^(a*B) = sigma(g^a), so both factors come from one table
+  of powers g^(k*b); and when every coefficient is fixed by sigma (every
+  F_p coefficient is) the product is symmetric and only its upper half
+  is computed.
+
+Its sums are exact: float32 while they stay below _FOLD_MAX (then counted
+by value and folded mod p once per call), float64 below 2^53, int64
+beyond (reduced mod p after each term).  Its per-field set-up (a
+generator, the trace form, sigma or g^B) and the power rows per term
+degree are kept in bounded caches; everything else is per call.
 
 trace_histogram reads its route from the field: Horner for F_p and F_{p^2}
 below ZECH_MIN_Q = 2^12, the Zech route for every other field, extension
 fields of degree e >= 3 at every q.  Per call, in ms (Horner / Zech with
-its per-field set-up cold / cached; random monic f with F_p coefficients,
-2-core x86-64, numpy 2.4):
+its caches cold / warm; random monic f with F_p coefficients, medians of
+41 calls, one 2-core x86-64 machine, numpy 2.4):
 
     field       d = 3                 d = 7
-    F_{3^7}     1.24 / 0.47 / 0.14    1.78 / 0.54 / 0.21
-    F_{5^5}     1.09 / 0.42 / 0.15    1.58 / 0.45 / 0.18
-    F_{2^11}    3.36 / 0.66 / 0.16    4.23 / 0.74 / 0.23
-    F_{7^4}     0.59 / 0.32 / 0.13    0.86 / 0.38 / 0.18
-    F_{5^4}     0.18 / 0.26 / 0.10    0.27 / 0.32 / 0.14
-    F_{7^3}     0.08 / 0.24 / 0.09    0.13 / 0.28 / 0.14
-    F_{47^2}    0.22 / 0.29 / 0.16    0.37 / 0.45 / 0.30
-    F_{2003}    0.22 / 0.28 / 0.25    0.28 / 0.32 / 0.29
+    F_{3^7}     2.47 / 0.72 / 0.10    3.35 / 1.34 / 0.19
+    F_{5^5}     2.01 / 0.71 / 0.14    2.61 / 1.07 / 0.17
+    F_{2^11}    5.99 / 1.29 / 0.13    7.86 / 1.07 / 0.12
+    F_{7^4}     0.87 / 0.91 / 0.13    1.71 / 0.77 / 0.12
+    F_{5^4}     0.27 / 0.39 / 0.07    0.38 / 0.55 / 0.09
+    F_{7^3}     0.17 / 0.55 / 0.09    0.24 / 0.94 / 0.12
+    F_{47^2}    0.34 / 0.46 / 0.20    0.64 / 1.08 / 0.39
+    F_{2003}    0.17 / 0.36 / 0.09    0.29 / 0.67 / 0.12
 
-Cold, the Zech route loses only on the smallest e = 3 or 4 fields, by
-under 0.2 ms; a field's set-up is paid once and the cache keeps it.  Below
-2^12, Horner stays ahead on F_p and about even on F_{p^2}.
+Cold, the Zech route loses only on the smallest e = 3 or 4 fields, by up
+to 0.7 ms; the caches keep a field's set-up and its power rows.  Below
+2^12 it is behind Horner on F_p and F_{p^2} when cold, as a scan meets
+each prime's field, and ahead when warm.
 
 Element number k of F_{p^e} has the base-p digits of k as its coefficient
 vector, least significant first, matching FiniteField.from_index.
@@ -42,12 +57,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .fields import FieldPolynomial, FiniteField
+from .fields import FieldElement, FieldPolynomial, FiniteField
 
 _CHUNK = 1 << 16
 
@@ -147,18 +162,31 @@ def _trace_histogram_horner(fbar: FieldPolynomial) -> list[int]:
 # ---------------------------------------------------------------------------
 # Zech route: every field but F_p and F_{p^2} below ZECH_MIN_Q (see the
 # module docstring), and any coefficients.  With g a generator of F_q^*,
-# x = g^(a*B + b) and H[i, j] = Tr(x^(i+j)), Tr(u*v) = u H v^T on
-# coefficient rows, so each term of f gives
+# x = g^(a*B + b), B = ceil(sqrt(q - 1)), and H[i, j] = Tr(x^(i+j)),
+# Tr(u*v) = u H v^T on coefficient rows, so each term of f gives
 #
-#     Tr(c_k x^k) = (c_k g^(k*a*B)) H (g^(k*b))^T.
+#     Tr(c_k x^k) = (g^(k*a*B) C_k H) (g^(k*b))^T,    C_k: times c_k.
 #
 # Side by side, the left factors U_k (row a) and right factors M_k (column b)
 # make Tr(f(x)) - Tr(c_0) one matrix product per block of rows a: memory is
-# O(d sqrt(q) e), with no q-sized table.  g, g^B and H depend on the field
-# alone, so _zech_field builds them once per field.  Every entry of the
-# product is an integer in [0, K (p-1)^2], K its inner width.  While that
+# O(d sqrt(q) e), with no q-sized table.
+#
+# Frobenius.  First, Tr(c x^(p j)) = Tr((c^(1/p) x^j)^p) = Tr(c^(1/p) x^j),
+# so _merged_terms moves each term down until p does not divide its degree:
+# K, the number of terms, shrinks (7 -> 5 for p = 3, d = 7).  Second, for
+# even e, B = A = p^(e/2) exactly and sigma(y) = y^B is the Frobenius of
+# F_q over F_{p^(e/2)}, a linear map S on digit rows, so g^(k*a*B) is
+# sigma(g^(k*a)): U_k = Z_k (S C_k H) and M_k = Z_k^T with Z_k the rows of
+# g^(k*b), one table.  If also sigma(c_k) = c_k for all k, then
+# T[a, b] = Tr(c_k sigma(g^(k*a)) g^(k*b)) is Tr of its own sigma-image,
+# T[b, a]: a block of rows [lo, hi) computes only columns b >= lo, counts
+# the square [lo, hi)^2 once and the columns b >= hi twice, and drops
+# (A-1, A-1), which is k = q - 1, x = 1 a second time.  Odd e keeps the
+# rows of g^(k*a*B), from the matrix power G^B.
+#
+# Every entry of the product is an integer in [0, K e (p-1)^2].  While that
 # bound is at most _FOLD_MAX (small p, as in F_{3^12} or F_{7^8}; never an
-# F_p, as p >= 2^12 here) the float64 sums are counted by value and folded
+# F_p, as p >= 2^12 here) the float32 sums are counted by value and folded
 # mod p once per call; otherwise each entry is reduced mod p first.
 
 ZECH_MIN_Q = 1 << 12
@@ -218,39 +246,102 @@ def _find_generator(field: FiniteField):
     raise AssertionError("no generator found")  # unreachable for a field
 
 
+def _mat_pow(mat: np.ndarray, n: int, p: int) -> np.ndarray:
+    """mat^n mod p by square-and-multiply, for e x e matrices of reduced
+    digits (the entry guards bound each product), stacked on leading axes."""
+    out = np.eye(mat.shape[-1], dtype=np.int64)
+    while n:
+        if n & 1:
+            out = out @ mat % p
+        n >>= 1
+        if n:
+            mat = mat @ mat % p
+    return out
+
+
 def _powers_rows(step: np.ndarray, count: int, p: int) -> np.ndarray:
     """Digit rows of y^0 .. y^(count-1), step the multiplication matrix of
-    y, built by block doubling."""
-    rows = np.zeros((count, len(step)), dtype=np.int64)
-    rows[0, 0] = 1
+    y (or a stack of them), built by block doubling."""
+    rows = np.zeros(step.shape[:-2] + (count, step.shape[-1]), dtype=np.int64)
+    rows[..., 0, 0] = 1
     have = 1  # step multiplies by y^have
     while have < count:
         take = min(have, count - have)
-        rows[have : have + take] = rows[:take] @ step % p
+        rows[..., have : have + take, :] = rows[..., :take, :] @ step % p
         step, have = step @ step % p, have + take
     return rows
 
 
-def _term_powers(step: np.ndarray, terms: list, n: int, p: int) -> list[np.ndarray]:
-    """For each term degree k, the digit rows of y^(k*j), j = 0..n-1."""
-    rows = _powers_rows(step, terms[-1][0] * (n - 1) + 1, p)
-    return [rows[k * np.arange(n)] for k, _ in terms]
+class _ZechField(NamedTuple):
+    """Per-field set-up of the Zech route; every array is read-only."""
+
+    B: int  # ceil(sqrt(q - 1)), the number of columns b
+    A: int  # rows a, so that A * B >= q - 1
+    G: np.ndarray  # multiplication matrix of g
+    H: np.ndarray  # trace form, H[i, j] = Tr(x^(i+j))
+    step: np.ndarray  # even e: sigma on digit rows; odd e: the multiplication matrix of g^B
 
 
 @functools.lru_cache(maxsize=32)
-def _zech_field(field: FiniteField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The multiplication matrices of g and g^B, g the smallest generator of
-    F_q^* and B = ceil(sqrt(q - 1)), and the trace form H: built once per
-    field, read-only."""
-    e, q = field.e, field.q
-    g = _find_generator(field)
+def _zech_field(field: FiniteField) -> _ZechField:
+    """g, the smallest generator of F_q^*, with the trace form and the map
+    to the row factors g^(a*B): built once per field."""
+    p, e, q = field.p, field.e, field.q
     B = math.isqrt(q - 2) + 1
-    G, GB = _mul_matrices(field, np.array([g.coeffs, (g**B).coeffs], dtype=np.int64))
+    A = (q - 2) // B + 1
+    (G,) = _mul_matrices(field, np.array([_find_generator(field).coeffs], dtype=np.int64))
     tr_xk = np.array(field.power_traces(2 * e - 1), dtype=np.int64)
     H = tr_xk[np.add.outer(np.arange(e), np.arange(e))]
-    for a in (G, GB, H):
+    if e % 2:
+        step = _mat_pow(G, B, p)
+    else:  # B = A = p^(e/2): row i of sigma is x^(i B) = (x^B)^i
+        (X,) = _mul_matrices(field, np.eye(1, e, 1, dtype=np.int64))
+        step = _powers_rows(_mat_pow(X, B, p), e, p)
+    for a in (G, H, step):
         a.flags.writeable = False
-    return G, GB, H
+    return _ZechField(B, A, G, H, step)
+
+
+@functools.lru_cache(maxsize=64)
+def _term_rows(field: FiniteField, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digit rows of g^(k*a*B), a < A, and of g^(k*b), b < B, in the
+    smallest unsigned dtype that holds p - 1.  For even e the first is the
+    second (A = B) and the caller applies sigma to it.
+
+    An entry holds e*(A + B) digits for odd e and e*B for even e.  Under the
+    default budget (q <= 10^8) the largest is F_{2^25}'s, 2 * 25 * 5793
+    bytes = 290 kB, so the 64 entries hold at most 18.5 MB.
+    """
+    p, e = field.p, field.e
+    z = _zech_field(field)
+    steps = z.G if e % 2 == 0 else np.stack([z.step, z.G])  # g, or g^B and g
+    powers = _powers_rows(_mat_pow(steps, k, p), z.B, p).astype(np.min_scalar_type(p - 1))
+    powers.flags.writeable = False
+    return (powers, powers) if e % 2 == 0 else (powers[0, : z.A], powers[1])
+
+
+def _merged_terms(fbar: FieldPolynomial) -> list[tuple[int, FieldElement]]:
+    """The nonconstant terms (k, c_k) of f with Tr(c x^(p j)) = Tr(c^(1/p) x^j)
+    applied until p does not divide k, c^(1/p) = c^(p^(e-1)); terms that
+    cancel are dropped.  Tr(f(x)) is unchanged at every x."""
+    field = fbar.field
+    merged: dict[int, FieldElement] = {}
+    for k, c in enumerate(fbar.coeffs):
+        if not k or c.is_zero():
+            continue
+        while k % field.p == 0:
+            k //= field.p
+            if any(c.coeffs[1:]):  # F_p is fixed by Frobenius
+                c = c ** (field.q // field.p)
+        merged[k] = merged[k] + c if k in merged else c
+    return [(k, c) for k, c in sorted(merged.items()) if not c.is_zero()]
+
+
+def _symmetric(field: FiniteField, terms: list[tuple[int, FieldElement]]) -> bool:
+    """Whether T[a, b] = T[b, a]: e is even and every c_k is fixed by sigma,
+    c^B = c with B = p^(e/2).  F_p coefficients are, as their digits show."""
+    B = field.p ** (field.e // 2)
+    return field.e % 2 == 0 and all(not any(c.coeffs[1:]) or c**B == c for _, c in terms)
 
 
 def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
@@ -259,7 +350,7 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
     limit = _int64_limit(e)
     if q > limit:
         raise BudgetExceeded(q, limit)
-    terms = [(k, c) for k, c in enumerate(fbar.coeffs) if k and not c.is_zero()]
+    terms = _merged_terms(fbar)
     tr0 = field.trace(fbar.coeffs[0]) if fbar.coeffs else 0
     hist = np.zeros(p, dtype=np.int64)
     hist[tr0] += 1  # x = 0 contributes Tr(c_0)
@@ -267,28 +358,46 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
         hist[tr0] += q - 1
         return hist.tolist()
 
-    B = math.isqrt(q - 2) + 1  # ceil(sqrt(q - 1))
-    A = (q - 2) // B + 1
+    z = _zech_field(field)
+    A, B = z.A, z.B
+    half = _symmetric(field, terms)
     top = len(terms) * e * (p - 1) ** 2  # largest entry of U @ M
     exact = top + p <= _FLOAT64_EXACT  # float64 sums are exact
-    dtype = np.float64 if exact else np.int64
-    G, GB, H = _zech_field(field)
-    C = _mul_matrices(field, np.array([c.coeffs for _, c in terms], dtype=np.int64))
-    U = np.hstack([Yk @ Ck % p for Yk, Ck in zip(_term_powers(GB, terms, A, p), C)], dtype=dtype)
-    M = np.vstack([(Zk @ H % p).T for Zk in _term_powers(G, terms, B, p)], dtype=dtype)
+    fold = exact and top <= _FOLD_MAX  # float32 sums are exact too
+    dtype = np.float32 if fold else np.float64 if exact else np.int64
+    W = _mul_matrices(field, np.array([c.coeffs for _, c in terms], dtype=np.int64))
+    if e % 2 == 0:
+        W = z.step @ W % p  # sigma, then c_k
+    W = W @ z.H % p
+    rows = [_term_rows(field, k) for k, _ in terms]
+    U = np.hstack([Y @ Wk % p for (Y, _), Wk in zip(rows, W)], dtype=dtype)
+    M = np.vstack([Z.T for _, Z in rows], dtype=dtype)
     width = U.shape[1] if exact else e  # int64: reduced mod p after each term
-    fold = exact and top <= _FOLD_MAX
     counts = np.zeros(top + 1 if fold else p, dtype=np.int64)
-    rows = max(1, _CHUNK // B)
-    for lo in range(0, A, rows):
-        if fold:  # raw sums, counted by value
-            T = (U[lo : lo + rows] @ M).astype(np.int64)
+
+    def entries(lo: int, hi: int, first: int, last: int) -> np.ndarray:
+        """T[a, b] for a in [lo, hi), b in [first, last), flattened: raw
+        sums when folding, else Tr(f(x)) mod p."""
+        if fold:
+            return (U[lo:hi] @ M[:, first:last]).astype(np.int64).ravel()
+        T = np.full((hi - lo, last - first), tr0, dtype=np.int64)
+        for j in range(0, U.shape[1], width):
+            T += (U[lo:hi, j : j + width] @ M[j : j + width, first:last]).astype(np.int64)
+            T %= p
+        return T.ravel()
+
+    lo = 0
+    while lo < A:
+        hi = min(A, lo + max(1, _CHUNK // (B - lo if half else B)))
+        if half:  # the square [lo, hi)^2 holds both halves; b >= hi stands for two
+            square = entries(lo, hi, lo, hi)
+            if hi == A:
+                square = square[:-1]  # (A-1, A-1) is k = q - 1: x = 1 again
+            counts += np.bincount(square, minlength=counts.size)
+            counts += 2 * np.bincount(entries(lo, hi, hi, B), minlength=counts.size)
         else:
-            T = np.full((min(rows, A - lo), B), tr0, dtype=np.int64)
-            for j in range(0, U.shape[1], width):
-                T += (U[lo : lo + rows, j : j + width] @ M[j : j + width]).astype(np.int64)
-                T %= p
-        counts += np.bincount(T.ravel()[: q - 1 - lo * B], minlength=counts.size)
+            counts += np.bincount(entries(lo, hi, 0, B)[: q - 1 - lo * B], minlength=counts.size)
+        lo = hi
     if fold:
         np.add.at(hist, (np.arange(top + 1) + tr0) % p, counts)
     else:

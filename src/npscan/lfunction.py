@@ -89,8 +89,16 @@ def _extension_histogram(fbar: FieldPolynomial, m: int) -> tuple[int, ...]:
     """Trace histogram of fbar pushed into F_{q^m}; cached per (fbar, m)."""
     base = fbar.field
     ext = build_field(base.p, base.e * m)
-    hist = kernels.trace_histogram(embed(base, ext).map_poly(fbar))
-    if sum(hist) != base.q**m:
+    return _pushed_histogram(embed(base, ext).map_poly(fbar))
+
+
+# Different (fbar, m) can push to one polynomial: base change asks for fext
+# over F_{q^n} at m, the base L for fbar at n m, and both push F_p
+# coefficients into the same canonical field.
+@functools.lru_cache(maxsize=512)
+def _pushed_histogram(fext: FieldPolynomial) -> tuple[int, ...]:
+    hist = kernels.trace_histogram(fext)
+    if sum(hist) != fext.field.q:
         raise InvariantViolation("trace histogram does not sum to q^m")
     return tuple(hist)
 

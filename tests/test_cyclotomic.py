@@ -157,6 +157,47 @@ def test_pi_valuation_matches_binomial_oracle(p):
     assert pi_valuation(CycInt.zero(p)) == binomial_pi_valuation(CycInt.zero(p)) == INFINITY
 
 
+def vanishing_at_one(p, j, rng):
+    """Coefficients of (x - 1)^j s(x) mod p, deg <= p - 2, s(1) != 0 mod p:
+    v_pi is j, plus p times random noise that does not change it."""
+    r = [1]
+    for _ in range(j):  # times (x - 1)
+        r = [(lo - hi) % p for lo, hi in zip([0] + r, r + [0])]
+    s = [rng.randrange(p) for _ in range(p - 1 - j)]
+    s[0] = (s[0] + 1 - sum(s)) % p  # s(1) = 1
+    prod = [0] * (p - 1)
+    for i, ri in enumerate(r):
+        for k, sk in enumerate(s[: p - 1 - i]):
+            prod[i + k] = (prod[i + k] + ri * sk) % p
+    return CycInt(p, tuple(c + p * rng.randint(-9, 9) for c in prod))
+
+
+@pytest.mark.parametrize("block", [1, 3, 16, None])
+@pytest.mark.parametrize("p", [2, 3, 13, 101])
+def test_pi_valuation_lag_blocks_match_binomial_oracle(monkeypatch, p, block):
+    """The lag blocks (a few shrunk to 1..16 lags so small p spans many) find
+    the same j as the oracle, at block edges and at the last lag p - 2."""
+    from npscan import cyclotomic
+
+    if block is not None:
+        monkeypatch.setattr(cyclotomic, "_LAG_BLOCK", block)
+    rng = random.Random(p * 7 + (block or 0))
+    edges = {0, 1, 2, 3, 4, 15, 16, 17, 47, 48, 49, p - 3, p - 2}
+    for j in sorted(k for k in edges if 0 <= k <= p - 2):
+        a = vanishing_at_one(p, j, rng)
+        assert pi_valuation(a) == binomial_pi_valuation(a) == j, (p, j)
+        assert pi_valuation(a * p) == (p - 1) + j
+
+
+@pytest.mark.parametrize("j", [0, 511, 512, 1000, 1029])
+def test_pi_valuation_past_the_first_block(j):
+    """p = 1031 has 1030 lags: [0, 512) in the first block, the rest in the
+    second.  The construction gives v_pi = j (the binomial oracle takes
+    seconds per element at this p; the shrunk blocks above check it)."""
+    a = vanishing_at_one(1031, j, random.Random(j))
+    assert pi_valuation(a) == j
+
+
 def test_pi_valuation_of_pi_powers():
     for p in (2, 3, 5, 13):
         pi = CycInt.one(p) - zeta_power(p, 1)

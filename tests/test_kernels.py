@@ -266,3 +266,149 @@ def test_int64_bound_fails_loudly():
         kernels.value_codes(fbar)
     # the largest F_p inside the bound still evaluates
     assert next(kernels.eval_blocks(build_field(2147483647, 1).poly([1])))[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The trace-form route's Frobenius shortcuts against the independent routes:
+# the half product (even e, coefficients fixed by sigma = x -> x^(p^(e/2))),
+# the full product, and terms of degree p j merged into degree j.
+
+
+def oracle_histogram(f):
+    """naive for small fields, Horner (no Frobenius shortcut) beyond."""
+    if f.field.q <= 3000:
+        return kernels.naive_trace_histogram(f)
+    return kernels._trace_histogram_horner(f)
+
+
+def subfield_element(F, rng):
+    """y + sigma(y): an element of F_{p^(e/2)} inside F_{p^e}, e even."""
+    y = F.from_index(rng.randrange(F.q))
+    return y + y ** (F.p ** (F.e // 2))
+
+
+def spy_symmetric(monkeypatch):
+    seen = []
+    exact = kernels._symmetric
+
+    def spy(field, terms):
+        seen.append(exact(field, terms))
+        return seen[-1]
+
+    monkeypatch.setattr(kernels, "_symmetric", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "p,e", [(2, 6), (3, 4), (2, 8), (5, 4), (3, 8), (7, 4), (2, 12), (101, 2), (3, 10)]
+)
+def test_zech_half_product_on_subfield_coefficients(monkeypatch, p, e):
+    """Even e, every coefficient in F_p or F_{p^(e/2)}: the half product runs.
+    F_{101^2} with d >= 4 sums past _FOLD_MAX, so it reduces each entry."""
+    seen = spy_symmetric(monkeypatch)
+    rng = random.Random(p * 31 + e)
+    F = build_field(p, e)
+    polys = [F.poly([rng.randrange(p) for _ in range(d)] + [1]) for d in (1, 4, 7)]
+    polys.append(F.poly([subfield_element(F, rng) for _ in range(4)] + [1]))
+    polys.append(F.poly([subfield_element(F, rng), subfield_element(F, rng), 0, 2]))
+    for f in polys:
+        hist = kernels._trace_histogram_zech(f)
+        assert hist == oracle_histogram(f) and sum(hist) == F.q
+    assert len(seen) >= len(polys) - 1 and all(seen)  # one may merge to a constant
+
+
+@pytest.mark.parametrize("p,e", [(2, 6), (3, 4), (5, 4), (3, 8), (101, 2)])
+def test_zech_full_product_on_other_coefficients(monkeypatch, p, e):
+    """Even e with a coefficient outside F_{p^(e/2)}: T is not symmetric."""
+    seen = spy_symmetric(monkeypatch)
+    rng = random.Random(p * 37 + e)
+    F = build_field(p, e)
+    g = F.gen()  # generates F_{p^e}, so sigma moves it
+    assert g ** (p ** (e // 2)) != g
+    polys = [F.poly([1, g, 0, 1]), F.poly([rng.randrange(p) for _ in range(5)] + [g])]
+    for f in polys:
+        hist = kernels._trace_histogram_zech(f)
+        assert hist == oracle_histogram(f) and sum(hist) == F.q
+    assert seen == [False] * len(polys)
+
+
+@pytest.mark.parametrize("p,e", [(2, 7), (3, 5), (5, 3), (2, 13), (3, 9), (4099, 1), (8209, 1)])
+def test_zech_odd_degree_and_prime_fields(p, e):
+    rng = random.Random(p * 41 + e)
+    F = build_field(p, e)
+    for deg in (1, 3, 6):
+        for f in (F.poly([rng.randrange(p) for _ in range(deg)] + [1]), random_poly(F, deg, rng)):
+            assert kernels._trace_histogram_zech(f) == oracle_histogram(f)
+
+
+@pytest.mark.parametrize(
+    "p,e,coeffs,merged",
+    [
+        (2, 6, [0, 1, 1, 0, 1, 0, 0, 0, 1], [(1, 0)]),  # x + x^2 + x^4 + x^8: 4x = 0
+        (2, 12, [1, 1, 1], []),  # x + x^2 = x + x = 0: Tr(f) is Tr(1) everywhere
+        (3, 4, [2, 1, 0, 2], []),  # x + 2 x^3 -> 3x = 0
+        (3, 8, [0, 2, 1, 1, 0, 0, 0, 0, 0, 1], [(1, 1), (2, 1)]),  # x^3, x^9 -> x
+        (3, 6, [0, 0, 1, 0, 0, 0, 1, 1], [(2, 2), (7, 1)]),  # x^6 -> x^2
+        (2, 11, [0, 1, 1, 1, 1, 0, 1, 1], [(1, 1), (7, 1)]),  # x^2, x^4 -> x; x^6 -> x^3
+    ],
+)
+def test_zech_merges_terms_of_degree_divisible_by_p(p, e, coeffs, merged):
+    """d > p: Tr(c x^(p j)) = Tr(c^(1/p) x^j) folds terms down; terms that
+    cancel leave a constant, which still fills all q elements."""
+    F = build_field(p, e)
+    f = F.poly(coeffs)
+    terms = kernels._merged_terms(f)
+    assert [(k, c.coeffs[0]) for k, c in terms] == [m for m in merged if m[1]]
+    assert all(not any(c.coeffs[1:]) for _, c in terms)
+    assert kernels._trace_histogram_zech(f) == oracle_histogram(f)
+
+
+def test_zech_merge_takes_the_pth_root_of_other_coefficients():
+    """c x^3 over F_{3^4} merges into c^(1/3) x = c^27 x; with c^27 x - c^(1/3) x
+    added the polynomial's trace is Tr(c_0) everywhere."""
+    F = build_field(3, 4)
+    c = F.gen()
+    root = c**27
+    assert root**3 == c
+    f = F.poly([F.one(), F.zero() - root, 0, c])
+    assert kernels._merged_terms(f) == []
+    hist = kernels._trace_histogram_zech(f)
+    assert hist == kernels.naive_trace_histogram(f)
+    assert hist[F.trace(F.one())] == F.q
+    g = F.poly([0, 1, 0, c])
+    assert kernels._merged_terms(g) == [(1, F.one() + root)]
+    assert kernels._trace_histogram_zech(g) == kernels.naive_trace_histogram(g)
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("p,e", [(2, 6), (3, 4), (5, 4), (3, 6), (7, 4), (2, 7), (4099, 1)])
+def test_zech_counts_x_equal_one_once(monkeypatch, p, e, chunk):
+    """For even e, A B = q: the last entry (A-1, A-1) is k = q - 1, which is
+    x = 1 again.  f = x^(q-1) is 1 on F_q^* and 0 at 0, so its histogram is
+    known; a second x = 1 would make it sum to q + 1.  _CHUNK = 7 puts
+    (A-1, A-1) in a row block of its own."""
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    F = build_field(p, e)
+    expected = [0] * p
+    expected[0] += 1
+    expected[F.trace(F.one())] += F.q - 1
+    assert kernels._trace_histogram_zech(F.poly([0] * (F.q - 1) + [1])) == expected
+    f = F.poly([1, 1])
+    assert kernels._trace_histogram_zech(f) == oracle_histogram(f)
+
+
+@pytest.mark.parametrize("chunk,exact,fold", [(40, None, None), (None, 0, None), (None, None, -1)])
+def test_zech_half_product_blocks_and_reductions(monkeypatch, chunk, exact, fold):
+    """The half product across many row blocks, in int64, and with each entry
+    reduced mod p instead of folded."""
+    for name, value in (("_CHUNK", chunk), ("_FLOAT64_EXACT", exact), ("_FOLD_MAX", fold)):
+        if value is not None:
+            monkeypatch.setattr(kernels, name, value)
+    seen = spy_symmetric(monkeypatch)
+    rng = random.Random(12)
+    for p, e in ((3, 6), (2, 8), (7, 4), (67, 2)):
+        F = build_field(p, e)
+        f = F.poly([rng.randrange(p) for _ in range(6)] + [1])
+        assert kernels._trace_histogram_zech(f) == oracle_histogram(f)
+    assert all(seen)
