@@ -140,15 +140,17 @@ def _add_record_options(parser: argparse.ArgumentParser) -> None:
                         help="blank the ms column for reproducible output")
 
 
-def _add_np(sub) -> None:
+@functools.cache  # built on the first main call, then reused by every later one
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="npscan", description=__doc__.split("\n")[0])
+    sub = top.add_subparsers(dest="command", required=True)
+
     p_np = sub.add_parser("np", help="Newton polygon at one prime")
     p_np.add_argument("poly")
     p_np.add_argument("p", type=int)
     _add_record_options(p_np)
     p_np.set_defaults(func=cmd_np)
 
-
-def _add_scan(sub) -> None:
     p_scan = sub.add_parser("scan", help="scan primes up to a bound")
     p_scan.add_argument("poly")
     p_scan.add_argument("--p-max", type=int, default=100)
@@ -163,8 +165,6 @@ def _add_scan(sub) -> None:
                         help="JSON-lines record cache (appended to)")
     p_scan.set_defaults(func=cmd_scan)
 
-
-def _add_crosscheck(sub) -> None:
     p_cc = sub.add_parser("crosscheck", help="consistency battery at one prime")
     p_cc.add_argument("poly")
     p_cc.add_argument("p", type=int)
@@ -173,8 +173,6 @@ def _add_crosscheck(sub) -> None:
     _add_budget(p_cc)
     p_cc.set_defaults(func=cmd_crosscheck)
 
-
-def _add_dickson(sub) -> None:
     p_dk = sub.add_parser("dickson", help="Dickson polynomial utilities")
     dk_sub = p_dk.add_subparsers(dest="action", required=True)
     g = dk_sub.add_parser("generate")
@@ -193,14 +191,10 @@ def _add_dickson(sub) -> None:
                     help="also enumerate the field to confirm")
     pc.set_defaults(func=cmd_dickson_perm)
 
-
-def _add_decompose(sub) -> None:
     p_dec = sub.add_parser("decompose", help="functional decomposition over Q")
     p_dec.add_argument("poly")
     p_dec.set_defaults(func=cmd_decompose)
 
-
-def _add_zeta(sub) -> None:
     p_z = sub.add_parser("zeta", help="curve zeta numerator P_1")
     p_z.add_argument("poly")
     p_z.add_argument("p", type=int)
@@ -208,39 +202,6 @@ def _add_zeta(sub) -> None:
     _add_budget(p_z)
     p_z.set_defaults(func=cmd_zeta)
 
-
-# in the order of the top-level help
-_SUBCOMMANDS = {
-    "np": _add_np,
-    "scan": _add_scan,
-    "crosscheck": _add_crosscheck,
-    "dickson": _add_dickson,
-    "decompose": _add_decompose,
-    "zeta": _add_zeta,
-}
-
-
-class _Reparse(Exception):
-    """A parser holding one subcommand met an error; the full parser
-    reports it."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Reparse
-
-
-@functools.cache  # built on the first main call, then reused by every later one
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given a command, one that holds
-    that subcommand only and raises _Reparse on an error instead of
-    printing it, since its top-level usage would list only that command."""
-    parser_class = argparse.ArgumentParser if command is None else _OneCommandParser
-    top = parser_class(prog="npscan", description=__doc__.split("\n")[0])
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, add in _SUBCOMMANDS.items():
-        if command in (None, name):
-            add(sub)
     return top
 
 
@@ -436,12 +397,8 @@ def cmd_zeta(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    try:
-        args = _build_parser(command).parse_args(argv)
-    except _Reparse:
-        args = _build_parser().parse_args(argv)  # prints the error and exits 2
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -302,22 +303,42 @@ def _zech_field(field: FiniteField) -> _ZechField:
     return _ZechField(B, A, G, H, step)
 
 
-@functools.lru_cache(maxsize=64)
-def _term_rows(field: FiniteField, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Digit rows of g^(k*a*B), a < A, and of g^(k*b), b < B, in the
-    smallest unsigned dtype that holds p - 1.  For even e the first is the
-    second (A = B) and the caller applies sigma to it.
+_TERM_ROWS_MAX = 64  # (field, term degree) entries kept by _term_rows
+_term_rows_cache: OrderedDict[tuple[FiniteField, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
-    An entry holds e*(A + B) digits for odd e and e*B for even e.  Under the
-    default budget (q <= 10^8) the largest is F_{2^25}'s, 2 * 25 * 5793
-    bytes = 290 kB, so the 64 entries hold at most 18.5 MB.
+
+def _term_rows(field: FiniteField, ks: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each term degree k, the digit rows of g^(k*a*B), a < A, and of
+    g^(k*b), b < B, in the smallest unsigned dtype that holds p - 1.  For
+    even e the first is the second (A = B) and the caller applies sigma.
+
+    The degrees not cached yet are built together: the digits of g^k (and
+    of g^(k*B) for odd e) from one table of powers, then one block-doubling
+    pass over the stack of their multiplication matrices.  The last
+    _TERM_ROWS_MAX entries used are kept, each in its own array of
+    e*B digits for even e and 2*e*B for odd e.  Under the default budget
+    (q <= 10^8) the largest is F_{2^25}'s, 2 * 25 * 5793 bytes = 290 kB, so
+    the cache holds at most 18.5 MB.
     """
-    p, e = field.p, field.e
-    z = _zech_field(field)
-    steps = z.G if e % 2 == 0 else np.stack([z.step, z.G])  # g, or g^B and g
-    powers = _powers_rows(_mat_pow(steps, k, p), z.B, p).astype(np.min_scalar_type(p - 1))
-    powers.flags.writeable = False
-    return (powers, powers) if e % 2 == 0 else (powers[0, : z.A], powers[1])
+    cache, p, e = _term_rows_cache, field.p, field.e
+    missing = [k for k in dict.fromkeys(ks) if (field, k) not in cache]
+    if missing:
+        z = _zech_field(field)
+        gens = z.G[None] if e % 2 == 0 else np.stack([z.step, z.G])  # g, or g^B and g
+        digits = _powers_rows(gens, max(missing) + 1, p)[:, missing]
+        powers = _powers_rows(_mul_matrices(field, digits.reshape(-1, e)), z.B, p)
+        powers = powers.reshape(len(gens), len(missing), z.B, e)
+        dtype = np.min_scalar_type(p - 1)
+        for i, k in enumerate(missing):
+            rows = powers[:, i].astype(dtype)
+            rows.flags.writeable = False
+            cache[field, k] = rows[0, : z.A], rows[-1]  # A = B for even e
+    for k in ks:
+        cache.move_to_end((field, k))
+    out = [cache[field, k] for k in ks]
+    while len(cache) > _TERM_ROWS_MAX:
+        cache.popitem(last=False)
+    return out
 
 
 def _merged_terms(fbar: FieldPolynomial) -> list[tuple[int, FieldElement]]:
@@ -369,7 +390,7 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
     if e % 2 == 0:
         W = z.step @ W % p  # sigma, then c_k
     W = W @ z.H % p
-    rows = [_term_rows(field, k) for k, _ in terms]
+    rows = _term_rows(field, [k for k, _ in terms])
     U = np.hstack([Y @ Wk % p for (Y, _), Wk in zip(rows, W)], dtype=dtype)
     M = np.vstack([Z.T for _, Z in rows], dtype=dtype)
     width = U.shape[1] if exact else e  # int64: reduced mod p after each term

@@ -119,12 +119,41 @@ def test_zech_field_setup_reused_across_polynomials():
     F = build_field(5, 6)
     polys = [random_poly(F, 3, rng), random_poly(F, 6, rng)]
     kernels._zech_field.cache_clear()
+    kernels._term_rows_cache.clear()
     warm = [kernels._trace_histogram_zech(f) for f in polys]
     cold = []
     for f in polys:
         kernels._zech_field.cache_clear()
+        kernels._term_rows_cache.clear()
         cold.append(kernels._trace_histogram_zech(f))
     assert warm == cold == [kernels._trace_histogram_horner(f) for f in polys]
+
+
+@pytest.mark.parametrize("size", [1, 3, 64])
+def test_zech_term_rows_partly_cached_and_evicted(monkeypatch, size):
+    """Term degrees found in the cache and degrees built together in one
+    call, with the cache shrunk so that entries leave it between and within
+    calls: the rows are the powers g^(k*b), and g^(k*a*B) for odd e, and the
+    histograms match the oracle."""
+    monkeypatch.setattr(kernels, "_TERM_ROWS_MAX", size)
+    kernels._term_rows_cache.clear()
+    rng = random.Random(size)
+    for p, e in [(3, 5), (2, 8), (5, 3), (3, 4)]:
+        F = build_field(p, e)
+        z = kernels._zech_field(F)
+        g = kernels._find_generator(F)
+        for ks in ([1, 2], [2, 4, 5], [1, 5, 7, 5], [7], [11, 1]):
+            for k, (Y, Z) in zip(ks, kernels._term_rows(F, ks)):
+                assert [list(r) for r in Z] == [list((g ** (k * b)).coeffs) for b in range(z.B)]
+                rows_a = [g ** (k * a * (z.B if e % 2 else 1)) for a in range(z.A)]
+                assert [list(r) for r in Y] == [list(y.coeffs) for y in rows_a]
+            assert len(kernels._term_rows_cache) <= size
+            coeffs = [0] * (max(ks) + 1)
+            for k in ks:
+                coeffs[k] = rng.randrange(1, p)
+            f = F.poly(coeffs)
+            assert kernels._trace_histogram_zech(f) == oracle_histogram(f)
+    kernels._term_rows_cache.clear()
 
 
 def test_generator_search_runs_once_per_field(monkeypatch):

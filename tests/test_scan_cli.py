@@ -498,50 +498,6 @@ def test_main_called_repeatedly_in_one_process_matches_separate_runs(capsys):
     assert cli_module._build_parser() is cli_module._build_parser()
 
 
-HELP_ARGVS = [["-h"], ["--help"]] + [[cmd, "-h"] for cmd in cli_module._SUBCOMMANDS] + [
-    ["dickson", action, "-h"] for action in ("generate", "recognize", "perm-check")
-]
-BAD_ARGVS = [
-    [],
-    ["bogus"],
-    ["np"],
-    ["np", "x^3"],
-    ["np", "x^3", "seven"],
-    ["np", "x^3", "7", "--format", "xml"],
-    ["np", "x^3", "7", "--bogus"],
-    ["scan", "x^3", "--p-max"],
-    ["crosscheck", "x^3", "7", "--base-change", "two"],
-    ["dickson"],
-    ["dickson", "generate", "5"],
-    ["dickson", "frobnicate"],
-    ["decompose"],
-    ["zeta", "x^2", "3", "-e"],
-    ["np", "x^3", "7", "extra"],
-]
-
-
-@pytest.mark.parametrize("argv", HELP_ARGVS + BAD_ARGVS, ids=" ".join)
-def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
-    """main builds only the subcommand it is given; help text, error
-    messages and exit codes stay those of the parser of every subcommand."""
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as got:
-        main(argv)
-    out = capsys.readouterr()
-    with pytest.raises(SystemExit) as want:
-        cli_module._build_parser().parse_args(argv)
-    assert (got.value.code, out) == (want.value.code, capsys.readouterr())
-    assert got.value.code == (0 if "-h" in argv or "--help" in argv else 2)
-    assert out.out or out.err
-
-
-def test_top_help_lists_every_subcommand():
-    text = cli_module._build_parser().format_help()
-    for cmd in cli_module._SUBCOMMANDS:
-        assert cmd in text
-    assert cli_module._build_parser("np").format_help() != text
-
-
 def test_cli_np_past_int64_bound_exits_3():
     res = cli("np", "x^3", "2147483659", "--budget", "10000000000")
     assert res.returncode == 3
