@@ -35,17 +35,17 @@ its caches cold / warm; random monic f with F_p coefficients, medians of
 41 calls, one 2-core x86-64 machine, numpy 2.4):
 
     field       d = 3                 d = 7
-    F_{3^7}     2.47 / 0.72 / 0.10    3.35 / 1.34 / 0.19
-    F_{5^5}     2.01 / 0.71 / 0.14    2.61 / 1.07 / 0.17
-    F_{2^11}    5.99 / 1.29 / 0.13    7.86 / 1.07 / 0.12
-    F_{7^4}     0.87 / 0.91 / 0.13    1.71 / 0.77 / 0.12
-    F_{5^4}     0.27 / 0.39 / 0.07    0.38 / 0.55 / 0.09
-    F_{7^3}     0.17 / 0.55 / 0.09    0.24 / 0.94 / 0.12
-    F_{47^2}    0.34 / 0.46 / 0.20    0.64 / 1.08 / 0.39
-    F_{2003}    0.17 / 0.36 / 0.09    0.29 / 0.67 / 0.12
+    F_{3^7}     2.47 / 1.18 / 0.16    3.46 / 1.34 / 0.23
+    F_{5^5}     1.87 / 0.74 / 0.12    2.37 / 0.79 / 0.15
+    F_{2^11}    4.94 / 1.26 / 0.15    6.18 / 1.37 / 0.18
+    F_{7^4}     1.02 / 0.73 / 0.14    1.29 / 0.59 / 0.14
+    F_{5^4}     0.29 / 0.48 / 0.09    0.42 / 0.53 / 0.12
+    F_{7^3}     0.15 / 0.40 / 0.08    0.21 / 0.42 / 0.10
+    F_{47^2}    0.33 / 0.47 / 0.18    0.57 / 0.70 / 0.34
+    F_{2003}    0.13 / 0.22 / 0.08    0.23 / 0.27 / 0.11
 
 Cold, the Zech route loses only on the smallest e = 3 or 4 fields, by up
-to 0.7 ms; the caches keep a field's set-up and its power rows.  Below
+to 0.25 ms; the caches keep a field's set-up and its power rows.  Below
 2^12 it is behind Horner on F_p and F_{p^2} when cold, as a scan meets
 each prime's field, and ahead when warm.
 
