@@ -4,50 +4,56 @@ Every kernel here multiplies in F_q one way: by the e x e multiplication
 matrices of _mul_matrices, whose row i is x^i times an element.  Entries
 stay reduced below p between steps, so a product of a digit row and such
 a matrix, plus one more digit (a Horner coefficient, a running trace), is
-at most e*(p-1)^2 + (p-1).  The entry guards check that against 2^62 and
-raise BudgetExceeded for a field past it (F_p first fails at
+at most e*(p-1)^2 + (p-1).  The Horner guard checks that against 2^62 and
+raises BudgetExceeded for a field past it (F_p first fails at
 p = 2^31 + 11, F_{p^2} near q = 2.3e18; for e >= 3 the bound passes 2^63
 and only the enumeration budget, 1e8 elements by default, limits q), so
 no input yields wrapped numbers.
 
-The Zech route counts Tr(f(x)) as a product of two sqrt(q)-row factors
-(see the comment above ZECH_MIN_Q) and takes two Frobenius identities,
-Tr(y^p) = Tr(y) and, for even e, sigma(y) = y^(p^(e/2)) of order 2:
+trace_histogram sends every F_p, and F_{p^2} below ZECH_MIN_Q = 2^12, to
+Horner, and every other field, so every e >= 3, to the Zech route.  That
+route counts Tr(f(x)) as a product of two factors of p^(e//2) and
+p^(e - e//2) rows (see the comment above ZECH_MIN_Q) and takes two
+Frobenius identities, Tr(y^p) = Tr(y) and, with B = p^(e//2),
+g^(a*B) = sigma(g^a) for the linear map sigma(y) = y^B:
 
 * Tr(c x^(p j)) = Tr(c^(1/p) x^j), so a term whose degree p divides
   merges into a lower one (x^3 and x^6 into x and x^2 for p = 3), and
   merged terms that cancel drop out;
-* for even e, g^(a*B) = sigma(g^a), so both factors come from one table
-  of powers g^(k*b); and when every coefficient is fixed by sigma (every
-  F_p coefficient is) the product is symmetric and only its upper half
-  is computed.
+* both factors come from one table of powers g^(k*j) per term degree k,
+  for every e >= 2; for even e, sigma has order 2, and when every
+  coefficient is fixed by sigma (every F_p coefficient is) the product
+  is symmetric and only its upper half is computed.
 
 Its sums are exact: float32 while they stay below _FOLD_MAX (then counted
-by value and folded mod p once per call), float64 below 2^53, int64
-beyond (reduced mod p after each term).  Its per-field set-up (a
-generator, the trace form, sigma or g^B) and the power rows per term
-degree are kept in bounded caches; everything else is per call.
+by value and folded mod p once per call), float64 below 2^53.  The Zech
+guard checks K terms' sums against 2^53, which every field below about
+4.5e15 / K elements passes, past any budget that can be enumerated;
+beyond it the route raises BudgetExceeded before any work.  Its
+per-field set-up (a generator, the trace form, sigma) and the power
+tables per term degree are kept in bounded caches, the tables in 4 MB
+besides the current call's (at most 1.29 MB a table under the default
+budget, see _term_rows); everything else is per call.
 
-trace_histogram reads its route from the field: Horner for F_p and F_{p^2}
-below ZECH_MIN_Q = 2^12, the Zech route for every other field, extension
-fields of degree e >= 3 at every q.  Per call, in ms (Horner / Zech with
-its caches cold / warm; random monic f with F_p coefficients, medians of
-41 calls, one 2-core x86-64 machine, numpy 2.4):
+Per call, in ms (Horner / Zech with its caches cold / warm; random monic
+f with F_p coefficients, medians of 41 calls, 11 for F_{101^3}, one
+2-core x86-64 machine, numpy 2.4, one BLAS thread):
 
     field       d = 3                 d = 7
-    F_{3^7}     2.47 / 1.18 / 0.16    3.46 / 1.34 / 0.23
-    F_{5^5}     1.87 / 0.74 / 0.12    2.37 / 0.79 / 0.15
-    F_{2^11}    4.94 / 1.26 / 0.15    6.18 / 1.37 / 0.18
-    F_{7^4}     1.02 / 0.73 / 0.14    1.29 / 0.59 / 0.14
-    F_{5^4}     0.29 / 0.48 / 0.09    0.42 / 0.53 / 0.12
-    F_{7^3}     0.15 / 0.40 / 0.08    0.21 / 0.42 / 0.10
-    F_{47^2}    0.33 / 0.47 / 0.18    0.57 / 0.70 / 0.34
-    F_{2003}    0.13 / 0.22 / 0.08    0.23 / 0.27 / 0.11
+    F_{3^7}     1.64 / 0.72 / 0.09    2.36 / 0.73 / 0.12
+    F_{5^5}     1.42 / 0.56 / 0.09    2.09 / 0.65 / 0.14
+    F_{2^11}    4.44 / 0.91 / 0.10    5.76 / 1.10 / 0.15
+    F_{7^4}     0.79 / 0.44 / 0.09    1.13 / 0.48 / 0.11
+    F_{5^4}     0.24 / 0.37 / 0.06    0.35 / 0.43 / 0.10
+    F_{7^3}     0.11 / 0.32 / 0.06    0.16 / 0.35 / 0.09
+    F_{47^2}    0.29 / 0.37 / 0.15    0.48 / 0.56 / 0.30
+    F_{101^3}   232.54 / 8.39 / 7.16  385.75 / 15.47 / 12.24
 
 Cold, the Zech route loses only on the smallest e = 3 or 4 fields, by up
-to 0.25 ms; the caches keep a field's set-up and its power rows.  Below
-2^12 it is behind Horner on F_p and F_{p^2} when cold, as a scan meets
-each prime's field, and ahead when warm.
+to 0.25 ms; the caches keep a field's set-up and its power tables.  Below
+2^12 it is behind Horner on F_{p^2} when cold, as a scan meets each
+prime's field, and ahead when warm.  An F_p never takes it: its tables
+would have p rows, and Horner takes 5 ms at p = 50023.
 
 Element number k of F_{p^e} has the base-p digits of k as its coefficient
 vector, least significant first, matching FiniteField.from_index.
@@ -68,18 +74,23 @@ from .fields import FieldElement, FieldPolynomial, FiniteField
 _CHUNK = 1 << 16
 
 
+_INT64_SAFE = 1 << 62  # Horner's int64 entries stay below this
+_FLOAT64_EXACT = 1 << 53  # float64 sums of integers below this are exact
+
+
 @functools.lru_cache(maxsize=64)
-def _int64_limit(e: int) -> int:
-    """Largest q = P^e whose products stay below 2^62: a row of reduced
-    digits times an e x e matrix of them, plus one reduced digit."""
+def _q_limit(e: int, terms: int, ceiling: int) -> int:
+    """Largest q = P^e whose sums stay below ceiling: a sum of `terms`
+    products of a row of reduced digits and an e x e matrix of them, plus
+    one reduced digit."""
 
     def worst(p: int) -> int:
-        return e * (p - 1) ** 2 + (p - 1)
+        return terms * e * (p - 1) ** 2 + (p - 1)
 
-    lo, hi = 2, 2**32  # worst(lo) < 2^62 <= worst(hi)
+    lo, hi = 2, 2**32  # worst(lo) < ceiling <= worst(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if worst(mid) < 2**62 else (lo, mid)
+        lo, hi = (mid, hi) if worst(mid) < ceiling else (lo, mid)
     return lo**e
 
 
@@ -115,7 +126,7 @@ def eval_blocks(fbar: FieldPolynomial) -> Iterator[tuple[int, np.ndarray]]:
     """
     field = fbar.field
     p, e, q = field.p, field.e, field.q
-    limit = _int64_limit(e)
+    limit = _q_limit(e, 1, _INT64_SAFE)
     if q > limit:
         raise BudgetExceeded(q, limit)
     rows = fbar.int_rows()
@@ -143,7 +154,7 @@ def eval_blocks(fbar: FieldPolynomial) -> Iterator[tuple[int, np.ndarray]]:
 def trace_histogram(fbar: FieldPolynomial) -> list[int]:
     """Counts t_a = #{x in F_q : Tr(f(x)) = a}, indexed by a in 0..p-1."""
     field = fbar.field
-    if field.e <= 2 and field.q < ZECH_MIN_Q:
+    if field.e == 1 or field.e == 2 and field.q < ZECH_MIN_Q:
         return _trace_histogram_horner(fbar)
     return _trace_histogram_zech(fbar)
 
@@ -156,43 +167,48 @@ def _trace_histogram_horner(fbar: FieldPolynomial) -> list[int]:
     hist = np.zeros(p, dtype=np.int64)
     for _, V in blocks:
         T = (V @ tvec) % p
-        hist += np.bincount(T, minlength=p)
+        np.add.at(hist, T, 1)
     return hist.tolist()
 
 
 # ---------------------------------------------------------------------------
-# Zech route: every field but F_p and F_{p^2} below ZECH_MIN_Q (see the
-# module docstring), and any coefficients.  With g a generator of F_q^*,
-# x = g^(a*B + b), B = ceil(sqrt(q - 1)), and H[i, j] = Tr(x^(i+j)),
-# Tr(u*v) = u H v^T on coefficient rows, so each term of f gives
+# Zech route: every field but F_p, and F_{p^2} below ZECH_MIN_Q (see the
+# module docstring), with any coefficients.  Let g generate F_q^*, set
+# B = p^(e//2) and A = q / B = p^(e - e//2), write x = g^(a*B + b) with
+# a < A, b < B, and let H[i, j] = Tr(x^(i+j)), so Tr(u*v) = u H v^T on
+# coefficient rows.  Since B is a power of p, sigma(y) = y^B is a linear
+# map S on digit rows, and g^(k*a*B) = sigma(g^(k*a)).  So each term of f
+# gives
 #
-#     Tr(c_k x^k) = (g^(k*a*B) C_k H) (g^(k*b))^T,    C_k: times c_k.
+#     Tr(c_k x^k) = (g^(k*a) S C_k H) (g^(k*b))^T,    C_k: times c_k,
 #
-# Side by side, the left factors U_k (row a) and right factors M_k (column b)
-# make Tr(f(x)) - Tr(c_0) one matrix product per block of rows a: memory is
-# O(d sqrt(q) e), with no q-sized table.
+# and with Z_k the one table of digit rows of g^(k*j), j < A, the left
+# factor of a block of rows [lo, hi) is Z_k[lo:hi] (S C_k H) and the right
+# factor is Z_k[:B]^T.  Side by side over k they make Tr(f(x)) - Tr(c_0)
+# one matrix product per block: memory is O(d A e), with no q-sized table.
+# A * B = q, one more than the q - 1 powers of g: the last entry
+# (A-1, B-1) is k = q - 1, x = 1 a second time, and is dropped.
 #
 # Frobenius.  First, Tr(c x^(p j)) = Tr((c^(1/p) x^j)^p) = Tr(c^(1/p) x^j),
 # so _merged_terms moves each term down until p does not divide its degree:
 # K, the number of terms, shrinks (7 -> 5 for p = 3, d = 7).  Second, for
-# even e, B = A = p^(e/2) exactly and sigma(y) = y^B is the Frobenius of
-# F_q over F_{p^(e/2)}, a linear map S on digit rows, so g^(k*a*B) is
-# sigma(g^(k*a)): U_k = Z_k (S C_k H) and M_k = Z_k^T with Z_k the rows of
-# g^(k*b), one table.  If also sigma(c_k) = c_k for all k, then
+# even e, A = B and sigma is the Frobenius of F_q over F_{p^(e/2)}, of
+# order 2.  If also sigma(c_k) = c_k for all k, then
 # T[a, b] = Tr(c_k sigma(g^(k*a)) g^(k*b)) is Tr of its own sigma-image,
 # T[b, a]: a block of rows [lo, hi) computes only columns b >= lo, counts
 # the square [lo, hi)^2 once and the columns b >= hi twice, and drops
-# (A-1, A-1), which is k = q - 1, x = 1 a second time.  Odd e keeps the
-# rows of g^(k*a*B), from the matrix power G^B.
+# (A-1, A-1).
 #
 # Every entry of the product is an integer in [0, K e (p-1)^2].  While that
-# bound is at most _FOLD_MAX (small p, as in F_{3^12} or F_{7^8}; never an
-# F_p, as p >= 2^12 here) the float32 sums are counted by value and folded
-# mod p once per call; otherwise each entry is reduced mod p first.
+# bound is at most _FOLD_MAX (small p, as in F_{3^12} or F_{7^8}) the
+# float32 sums are counted by value and folded mod p once per call;
+# otherwise each float64 entry is reduced mod p first.  float64 is exact
+# while K e (p-1)^2 + (p-1) < 2^53, which for e >= 2 holds on every field
+# below about 4.5e15 / K elements; past that the route raises
+# BudgetExceeded before any work.
 
 ZECH_MIN_Q = 1 << 12
 ZECH_MAX_Q = math.inf  # no upper cap; the name stays for perfbench's tracer
-_FLOAT64_EXACT = 1 << 53  # float64 sums of integers below this are exact
 _FOLD_MAX = _CHUNK  # raw sums up to this are counted before reduction mod p
 _GENERATOR_BATCH = 32  # candidates tested together by _find_generator
 
@@ -231,33 +247,16 @@ def _full_order(field: FiniteField, Y: np.ndarray, exponents: list[int]) -> np.n
 def _find_generator(field: FiniteField):
     """Smallest element (enumeration order) of multiplicative order q - 1,
     the first whose (q-1)/l-th power is not 1 for every prime l | q - 1.
-    For e = 1 that is integer pow; for e > 1 the search starts at index p,
-    as the elements below it form F_p, and tests a batch at a time."""
+    The search starts at index p, as the elements below it form F_p (so
+    e >= 2), and tests a batch at a time."""
     p, q = field.p, field.q
     exponents = [(q - 1) // ell for ell in _prime_factors(q - 1)]
-    if field.e == 1:
-        return field.from_index(
-            next(k for k in range(1, q) if all(pow(k, n, p) != 1 for n in exponents))
-        )
     for start in range(p, q, _GENERATOR_BATCH):
         stop = min(start + _GENERATOR_BATCH, q)
         full = _full_order(field, _element_block(field, start, stop), exponents)
         if full.any():
             return field.from_index(start + int(full.argmax()))
-    raise AssertionError("no generator found")  # unreachable for a field
-
-
-def _mat_pow(mat: np.ndarray, n: int, p: int) -> np.ndarray:
-    """mat^n mod p by square-and-multiply, for e x e matrices of reduced
-    digits (the entry guards bound each product), stacked on leading axes."""
-    out = np.eye(mat.shape[-1], dtype=np.int64)
-    while n:
-        if n & 1:
-            out = out @ mat % p
-        n >>= 1
-        if n:
-            mat = mat @ mat % p
-    return out
+    raise AssertionError("no generator found")  # unreachable for e >= 2
 
 
 def _powers_rows(step: np.ndarray, count: int, p: int) -> np.ndarray:
@@ -276,68 +275,63 @@ def _powers_rows(step: np.ndarray, count: int, p: int) -> np.ndarray:
 class _ZechField(NamedTuple):
     """Per-field set-up of the Zech route; every array is read-only."""
 
-    B: int  # ceil(sqrt(q - 1)), the number of columns b
-    A: int  # rows a, so that A * B >= q - 1
+    B: int  # p^(e//2), the number of columns b
+    A: int  # q / B rows a
     G: np.ndarray  # multiplication matrix of g
     H: np.ndarray  # trace form, H[i, j] = Tr(x^(i+j))
-    step: np.ndarray  # even e: sigma on digit rows; odd e: the multiplication matrix of g^B
+    S: np.ndarray  # sigma(y) = y^B on digit rows
 
 
 @functools.lru_cache(maxsize=32)
 def _zech_field(field: FiniteField) -> _ZechField:
-    """g, the smallest generator of F_q^*, with the trace form and the map
-    to the row factors g^(a*B): built once per field."""
+    """g, the smallest generator of F_q^*, with the trace form and sigma:
+    built once per field."""
     p, e, q = field.p, field.e, field.q
-    B = math.isqrt(q - 2) + 1
-    A = (q - 2) // B + 1
+    B = p ** (e // 2)
     (G,) = _mul_matrices(field, np.array([_find_generator(field).coeffs], dtype=np.int64))
     tr_xk = np.array(field.power_traces(2 * e - 1), dtype=np.int64)
     H = tr_xk[np.add.outer(np.arange(e), np.arange(e))]
-    if e % 2:
-        step = _mat_pow(G, B, p)
-    else:  # B = A = p^(e/2): row i of sigma is x^(i B) = (x^B)^i
-        (X,) = _mul_matrices(field, np.eye(1, e, 1, dtype=np.int64))
-        step = _powers_rows(_mat_pow(X, B, p), e, p)
-    for a in (G, H, step):
+    xB = field.from_index(p) ** B  # element p is x, as e >= 2
+    (XB,) = _mul_matrices(field, np.array([xB.coeffs], dtype=np.int64))
+    S = _powers_rows(XB, e, p)  # row i is x^(i B) = (x^B)^i
+    for a in (G, H, S):
         a.flags.writeable = False
-    return _ZechField(B, A, G, H, step)
+    return _ZechField(B, q // B, G, H, S)
 
 
-_TERM_ROWS_MAX = 64  # (field, term degree) entries kept by _term_rows
-_term_rows_cache: OrderedDict[tuple[FiniteField, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_TERM_ROWS_BYTES = 4 << 20  # tables kept by _term_rows beyond the current call's
+_term_rows_cache: OrderedDict[tuple[FiniteField, int], np.ndarray] = OrderedDict()
 
 
-def _term_rows(field: FiniteField, ks: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each term degree k, the digit rows of g^(k*a*B), a < A, and of
-    g^(k*b), b < B, in the smallest unsigned dtype that holds p - 1.  For
-    even e the first is the second (A = B) and the caller applies sigma.
+def _term_rows(field: FiniteField, ks: list[int]) -> list[np.ndarray]:
+    """For each term degree k, the digit rows of g^(k*j), j < A, in the
+    smallest unsigned dtype that holds p - 1: A*e digits, read-only.
 
-    The degrees not cached yet are built together: the digits of g^k (and
-    of g^(k*B) for odd e) from one table of powers, then one block-doubling
-    pass over the stack of their multiplication matrices.  The last
-    _TERM_ROWS_MAX entries used are kept, each in its own array of
-    e*B digits for even e and 2*e*B for odd e.  Under the default budget
-    (q <= 10^8) the largest is F_{2^25}'s, 2 * 25 * 5793 bytes = 290 kB, so
-    the cache holds at most 18.5 MB.
+    The degrees not cached yet are built together: the digits of g^k from
+    one table of powers, then one block-doubling pass over the stack of
+    their multiplication matrices.  The tables used last are kept while
+    they total at most _TERM_ROWS_BYTES, and the current call's always
+    are.  Under the default budget (q <= 10^8) the largest table is
+    F_{463^3}'s, 463^2 * 3 two-byte digits = 1.29 MB, so the cache holds
+    at most 4 MB plus one such table per term of the current call.
     """
-    cache, p, e = _term_rows_cache, field.p, field.e
+    cache, p = _term_rows_cache, field.p
     missing = [k for k in dict.fromkeys(ks) if (field, k) not in cache]
     if missing:
         z = _zech_field(field)
-        gens = z.G[None] if e % 2 == 0 else np.stack([z.step, z.G])  # g, or g^B and g
-        digits = _powers_rows(gens, max(missing) + 1, p)[:, missing]
-        powers = _powers_rows(_mul_matrices(field, digits.reshape(-1, e)), z.B, p)
-        powers = powers.reshape(len(gens), len(missing), z.B, e)
+        digits = _powers_rows(z.G, max(missing) + 1, p)[missing]
+        powers = _powers_rows(_mul_matrices(field, digits), z.A, p)
         dtype = np.min_scalar_type(p - 1)
-        for i, k in enumerate(missing):
-            rows = powers[:, i].astype(dtype)
+        for k, rows in zip(missing, powers):
+            rows = rows.astype(dtype)
             rows.flags.writeable = False
-            cache[field, k] = rows[0, : z.A], rows[-1]  # A = B for even e
+            cache[field, k] = rows
     for k in ks:
         cache.move_to_end((field, k))
     out = [cache[field, k] for k in ks]
-    while len(cache) > _TERM_ROWS_MAX:
-        cache.popitem(last=False)
+    size = sum(rows.nbytes for rows in cache.values())
+    while size > _TERM_ROWS_BYTES and len(cache) > len(set(ks)):
+        size -= cache.popitem(last=False)[1].nbytes  # the oldest, never one of ks
     return out
 
 
@@ -359,18 +353,17 @@ def _merged_terms(fbar: FieldPolynomial) -> list[tuple[int, FieldElement]]:
 
 
 def _symmetric(field: FiniteField, terms: list[tuple[int, FieldElement]]) -> bool:
-    """Whether T[a, b] = T[b, a]: e is even and every c_k is fixed by sigma,
-    c^B = c with B = p^(e/2).  F_p coefficients are, as their digits show."""
+    """Whether T[a, b] = T[b, a]: e is even (so A = B and sigma has order 2)
+    and every c_k is fixed by sigma, c^B = c with B = p^(e/2).  F_p
+    coefficients are, as their digits show."""
     B = field.p ** (field.e // 2)
     return field.e % 2 == 0 and all(not any(c.coeffs[1:]) or c**B == c for _, c in terms)
 
 
 def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
+    """The trace histogram on a field of degree e >= 2, by the trace form."""
     field = fbar.field
     p, e, q = field.p, field.e, field.q
-    limit = _int64_limit(e)
-    if q > limit:
-        raise BudgetExceeded(q, limit)
     terms = _merged_terms(fbar)
     tr0 = field.trace(fbar.coeffs[0]) if fbar.coeffs else 0
     hist = np.zeros(p, dtype=np.int64)
@@ -378,51 +371,42 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
     if not terms:
         hist[tr0] += q - 1
         return hist.tolist()
+    limit = _q_limit(e, len(terms), _FLOAT64_EXACT)
+    if q > limit:
+        raise BudgetExceeded(q, limit)
 
     z = _zech_field(field)
     A, B = z.A, z.B
     half = _symmetric(field, terms)
-    top = len(terms) * e * (p - 1) ** 2  # largest entry of U @ M
-    exact = top + p <= _FLOAT64_EXACT  # float64 sums are exact
-    fold = exact and top <= _FOLD_MAX  # float32 sums are exact too
-    dtype = np.float32 if fold else np.float64 if exact else np.int64
+    top = len(terms) * e * (p - 1) ** 2  # largest entry of the product
+    fold = top <= _FOLD_MAX  # float32 sums are exact too
+    dtype = np.float32 if fold else np.float64
     W = _mul_matrices(field, np.array([c.coeffs for _, c in terms], dtype=np.int64))
-    if e % 2 == 0:
-        W = z.step @ W % p  # sigma, then c_k
-    W = W @ z.H % p
+    W = (z.S @ W % p) @ z.H % p  # sigma, then c_k, then the trace form
     rows = _term_rows(field, [k for k, _ in terms])
-    U = np.hstack([Y @ Wk % p for (Y, _), Wk in zip(rows, W)], dtype=dtype)
-    M = np.vstack([Z.T for _, Z in rows], dtype=dtype)
-    width = U.shape[1] if exact else e  # int64: reduced mod p after each term
+    M = np.vstack([Z[:B].T for Z in rows], dtype=dtype)
     counts = np.zeros(top + 1 if fold else p, dtype=np.int64)
 
-    def entries(lo: int, hi: int, first: int, last: int) -> np.ndarray:
-        """T[a, b] for a in [lo, hi), b in [first, last), flattened: raw
-        sums when folding, else Tr(f(x)) mod p."""
-        if fold:
-            return (U[lo:hi] @ M[:, first:last]).astype(np.int64).ravel()
-        T = np.full((hi - lo, last - first), tr0, dtype=np.int64)
-        for j in range(0, U.shape[1], width):
-            T += (U[lo:hi, j : j + width] @ M[j : j + width, first:last]).astype(np.int64)
-            T %= p
-        return T.ravel()
+    def entries(U: np.ndarray, first: int, last: int) -> np.ndarray:
+        """T[a, b] - Tr(c_0) for U's rows a and b in [first, last),
+        flattened: raw sums when folding, else reduced mod p."""
+        T = (U @ M[:, first:last]).astype(np.int64).ravel()
+        return T if fold else T % p
 
     lo = 0
     while lo < A:
         hi = min(A, lo + max(1, _CHUNK // (B - lo if half else B)))
+        U = np.hstack([Z[lo:hi] @ Wk % p for Z, Wk in zip(rows, W)], dtype=dtype)
         if half:  # the square [lo, hi)^2 holds both halves; b >= hi stands for two
-            square = entries(lo, hi, lo, hi)
+            square = entries(U, lo, hi)
             if hi == A:
                 square = square[:-1]  # (A-1, A-1) is k = q - 1: x = 1 again
             counts += np.bincount(square, minlength=counts.size)
-            counts += 2 * np.bincount(entries(lo, hi, hi, B), minlength=counts.size)
+            counts += 2 * np.bincount(entries(U, hi, B), minlength=counts.size)
         else:
-            counts += np.bincount(entries(lo, hi, 0, B)[: q - 1 - lo * B], minlength=counts.size)
+            counts += np.bincount(entries(U, 0, B)[: q - 1 - lo * B], minlength=counts.size)
         lo = hi
-    if fold:
-        np.add.at(hist, (np.arange(top + 1) + tr0) % p, counts)
-    else:
-        hist += counts
+    np.add.at(hist, (np.arange(counts.size) + tr0) % p, counts)
     return hist.tolist()
 
 

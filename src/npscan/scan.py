@@ -6,8 +6,11 @@ each record: does NP equal the Hodge polygon, how large is the vertical
 gap, is some slope repeated, and -- when a Dickson factor (n, a) drives
 the scan -- is (p, a, n) admissible.  Two theorem-backed invariants are
 enforced per record, and the scan verdict says "oscillates" exactly when
-both an NP = HP prime and a gap >= 1/(2d) prime were seen: the polygons
-then cannot converge.
+an NP = HP prime and an admissible prime with a gap >= 1/(2d) were seen.
+The paper proves that gap only at admissible primes, where it recurs, so
+the polygons cannot converge; a gap at any other prime, as small primes
+show for f without a global permutation factor, backs no verdict.  The
+gap_witness count still counts every row with the gap.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 this module is the only one that writes a record or reads one back.  An
@@ -261,8 +264,9 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
 
     gap_bound = Fraction(1, 2 * d)
     n_np = sum(1 for r in ordered if r.np_eq_hp)
-    n_gap = sum(1 for r in ordered if r.gap is not None and r.gap >= gap_bound)
-    verdict = VERDICT_OSCILLATES if (n_np and n_gap) else VERDICT_NO_WITNESS
+    gaps = [r for r in ordered if r.gap is not None and r.gap >= gap_bound]
+    backed = any(r.admissible for r in gaps)  # where the paper proves the gap recurs
+    verdict = VERDICT_OSCILLATES if (n_np and backed) else VERDICT_NO_WITNESS
     summary = ScanSummary(
         f=ratpoly.format_poly(fq),
         d=d,
@@ -270,7 +274,7 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
         hint=hint,
         n_rows=len(ordered),
         n_np_eq_hp=n_np,
-        n_gap_witness=n_gap,
+        n_gap_witness=len(gaps),
         n_admissible=sum(1 for r in ordered if r.admissible),
         n_slope_mult_ge2=sum(1 for r in ordered if r.slope_mult_ge2),
         n_errors=sum(1 for r in ordered if r.error is not None),

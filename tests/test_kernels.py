@@ -9,8 +9,9 @@ Which inputs each route takes:
 
 * naive (the oracle): any polynomial over any field;
 * Horner: any polynomial over any field;
-* Zech: any polynomial over any field; trace_histogram sends it every
-  field except F_p and F_{p^2} below ZECH_MIN_Q, which go to Horner.
+* Zech: any polynomial over a field of degree e >= 2; trace_histogram
+  sends it every field except F_p and F_{p^2} below ZECH_MIN_Q, which go
+  to Horner.
 """
 
 import random
@@ -75,7 +76,7 @@ def test_route_below_cutoff_follows_the_extension_degree(monkeypatch, p, e):
     assert [kernels.trace_histogram(f) for f in polys] == expected
 
 
-@pytest.mark.parametrize("p,e", [(3, 8), (5, 6), (7, 5), (2, 13), (4099, 1)])
+@pytest.mark.parametrize("p,e", [(3, 8), (5, 6), (7, 5), (2, 13), (101, 3)])
 def test_zech_and_horner_routes_agree(p, e):
     """Fields past the Zech cutoff: compare the trace-form route against
     the Horner-block route explicitly (these share only _mul_matrices)."""
@@ -87,15 +88,62 @@ def test_zech_and_horner_routes_agree(p, e):
         assert kernels._trace_histogram_zech(f) == kernels._trace_histogram_horner(f)
 
 
-@pytest.mark.parametrize("p,e", [(3, 8), (4099, 1)])
-def test_zech_int64_product_matches_horner(monkeypatch, p, e):
-    """With the float64 limit at 0 the trace form runs in int64, term by term."""
-    monkeypatch.setattr(kernels, "_FLOAT64_EXACT", 0)
-    rng = random.Random(p)
+@pytest.mark.parametrize(
+    "p,e,route",
+    [(4099, 1, "horner"), (65537, 1, "horner"), (67, 2, "zech"), (7, 3, "zech"), (3, 8, "zech")],
+)
+def test_trace_histogram_route_above_cutoff(monkeypatch, p, e, route):
+    """Every F_p goes to Horner, past ZECH_MIN_Q and past 2^15 too; F_{p^2}
+    above ZECH_MIN_Q and every e >= 3 go to the trace form.  An F_p
+    histogram is checked against a count on Python ints."""
     F = build_field(p, e)
-    for deg in (1, 4):
-        f = random_poly(F, deg, rng)
-        assert kernels._trace_histogram_zech(f) == kernels._trace_histogram_horner(f)
+    rng = random.Random(p + e)
+    coeffs = [rng.randrange(p) for _ in range(4)] + [1]
+    f = F.poly(coeffs)
+    if e == 1:
+        expected = [0] * p
+        for x in range(p):
+            expected[sum(c * pow(x, k, p) for k, c in enumerate(coeffs)) % p] += 1
+    else:
+        expected = oracle_histogram(f)
+
+    def refused(fbar):
+        raise AssertionError(f"wrong route for F_{p}^{e}")
+
+    other = "_trace_histogram_zech" if route == "horner" else "_trace_histogram_horner"
+    monkeypatch.setattr(kernels, other, refused)
+    assert kernels.trace_histogram(f) == expected
+
+
+@pytest.mark.parametrize(
+    "p,coeffs,terms",
+    [(67108879, [0, 0, 1], 1), (38745323, [0, 1, 0, 1, 0, 1], 3)],
+    ids=["x^2", "x+x^3+x^5"],
+)
+def test_zech_float64_bound_fails_loudly(monkeypatch, p, coeffs, terms):
+    """Past 2^53 the float64 sums could round: the trace form raises
+    BudgetExceeded(q, limit) before its per-field set-up.  The bound is
+    K e (p-1)^2 + (p-1) < 2^53, about 4.5e15 / K elements for e = 2; the
+    prime just below each field here still passes it."""
+
+    class SetUp(Exception):
+        pass
+
+    def setup(field):
+        raise SetUp
+
+    monkeypatch.setattr(kernels, "_zech_field", setup)
+    limit = kernels._q_limit(2, terms, kernels._FLOAT64_EXACT)
+    assert 4.4e15 < limit * terms < 4.6e15
+    F = build_field(p, 2)
+    assert is_prime(p) and F.q > limit
+    with pytest.raises(BudgetExceeded) as exc:
+        kernels.trace_histogram(F.poly(coeffs))
+    assert (exc.value.size, exc.value.budget) == (F.q, limit)
+    below = next(r for r in range(p - 1, 2, -1) if is_prime(r))
+    assert below**2 <= limit
+    with pytest.raises(SetUp):
+        kernels.trace_histogram(build_field(below, 2).poly(coeffs))
 
 
 @pytest.mark.parametrize("p,e", [(3, 8), (67, 2)])
@@ -129,25 +177,28 @@ def test_zech_field_setup_reused_across_polynomials():
     assert warm == cold == [kernels._trace_histogram_horner(f) for f in polys]
 
 
-@pytest.mark.parametrize("size", [1, 3, 64])
+@pytest.mark.parametrize("size", [1, 64, 4 << 20])
 def test_zech_term_rows_partly_cached_and_evicted(monkeypatch, size):
     """Term degrees found in the cache and degrees built together in one
-    call, with the cache shrunk so that entries leave it between and within
-    calls: the rows are the powers g^(k*b), and g^(k*a*B) for odd e, and the
-    histograms match the oracle."""
-    monkeypatch.setattr(kernels, "_TERM_ROWS_MAX", size)
-    kernels._term_rows_cache.clear()
+    call, with the byte bound shrunk so that tables leave the cache between
+    calls (1 byte keeps only the current call's, 64 bytes one F_{3^4} table
+    besides): the rows are the powers g^(k*j), j < A, and the histograms
+    match the oracle."""
+    monkeypatch.setattr(kernels, "_TERM_ROWS_BYTES", size)
+    cache = kernels._term_rows_cache
+    cache.clear()
     rng = random.Random(size)
     for p, e in [(3, 5), (2, 8), (5, 3), (3, 4)]:
         F = build_field(p, e)
         z = kernels._zech_field(F)
         g = kernels._find_generator(F)
+        assert z.A * z.B == F.q
         for ks in ([1, 2], [2, 4, 5], [1, 5, 7, 5], [7], [11, 1]):
-            for k, (Y, Z) in zip(ks, kernels._term_rows(F, ks)):
-                assert [list(r) for r in Z] == [list((g ** (k * b)).coeffs) for b in range(z.B)]
-                rows_a = [g ** (k * a * (z.B if e % 2 else 1)) for a in range(z.A)]
-                assert [list(r) for r in Y] == [list(y.coeffs) for y in rows_a]
-            assert len(kernels._term_rows_cache) <= size
+            for k, Z in zip(ks, kernels._term_rows(F, ks)):
+                assert [list(r) for r in Z] == [list((g ** (k * j)).coeffs) for j in range(z.A)]
+            assert all((F, k) in cache for k in ks)
+            kept = sum(Z.nbytes for Z in cache.values())
+            assert kept <= size or len(cache) == len(set(ks))
             coeffs = [0] * (max(ks) + 1)
             for k in ks:
                 coeffs[k] = rng.randrange(1, p)
@@ -166,19 +217,10 @@ def test_generator_search_runs_once_per_field(monkeypatch):
 
     monkeypatch.setattr(kernels, "_find_generator", counted)
     kernels._zech_field.cache_clear()
-    F, E = build_field(3, 8), build_field(4099, 1)
+    F, E = build_field(3, 8), build_field(67, 2)
     for f in (F.poly([0, 1, 1]), E.poly([0, 0, 1]), F.poly([2, 0, 0, 1]), E.poly([3, 1])):
         kernels.trace_histogram(f)
     assert calls == [F, E]
-
-
-@pytest.mark.parametrize("p", [40009, 65537])
-def test_zech_matches_horner_past_int16(p):
-    """Traces above 2^15 must not wrap in the Zech route."""
-    F = build_field(p, 1)
-    rng = random.Random(p)
-    for f in (F.poly([0, 0, 1]), random_poly(F, 5, rng)):
-        assert kernels._trace_histogram_zech(f) == kernels._trace_histogram_horner(f)
 
 
 def test_zech_takes_coefficients_outside_prime_field():
@@ -253,7 +295,7 @@ def test_find_generator_has_full_order():
             n, y = n + 1, y * x
         return n
 
-    for p, e in [(2, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (2, 6), (4099, 1)]:
+    for p, e in [(2, 2), (3, 2), (5, 2), (7, 2), (3, 3), (2, 6), (5, 3), (2, 7)]:
         F = build_field(p, e)
         brute = next(
             F.from_index(k) for k in range(1, F.q) if order(F.from_index(k), F.one()) == F.q - 1
@@ -361,13 +403,32 @@ def test_zech_full_product_on_other_coefficients(monkeypatch, p, e):
     assert seen == [False] * len(polys)
 
 
-@pytest.mark.parametrize("p,e", [(2, 7), (3, 5), (5, 3), (2, 13), (3, 9), (4099, 1), (8209, 1)])
-def test_zech_odd_degree_and_prime_fields(p, e):
+ODD_GRID = [
+    (p, e)
+    for p in (2, 3, 5, 7, 13)
+    for e in (3, 5, 7, 9, 11)
+    if p**e <= 4 * 10**5
+]
+
+
+@pytest.mark.parametrize("p,e", ODD_GRID)
+def test_zech_odd_degree_grid(monkeypatch, p, e):
+    """Odd e: A = p B rows against B columns, both factors from one table.
+    _CHUNK is shrunk to blocks of 3 rows for p = 2 and 2 rows otherwise, so
+    blocks end mid-table and the last one is short, and the last entry
+    (A-1, B-1), x = 1 a second time, is cut from it."""
     rng = random.Random(p * 41 + e)
     F = build_field(p, e)
+    polys = []
     for deg in (1, 3, 6):
-        for f in (F.poly([rng.randrange(p) for _ in range(deg)] + [1]), random_poly(F, deg, rng)):
-            assert kernels._trace_histogram_zech(f) == oracle_histogram(f)
+        polys.append(F.poly([rng.randrange(p) for _ in range(deg)] + [1]))
+        polys.append(random_poly(F, deg, rng))
+    expected = [oracle_histogram(f) for f in polys]
+    B = p ** (e // 2)
+    rows = 3 if p == 2 else 2
+    assert (p * B) % rows
+    monkeypatch.setattr(kernels, "_CHUNK", rows * B)
+    assert [kernels._trace_histogram_zech(f) for f in polys] == expected
 
 
 @pytest.mark.parametrize(
@@ -410,9 +471,9 @@ def test_zech_merge_takes_the_pth_root_of_other_coefficients():
 
 
 @pytest.mark.parametrize("chunk", [7, None])
-@pytest.mark.parametrize("p,e", [(2, 6), (3, 4), (5, 4), (3, 6), (7, 4), (2, 7), (4099, 1)])
+@pytest.mark.parametrize("p,e", [(2, 6), (3, 4), (5, 4), (3, 6), (7, 4), (2, 7), (5, 3)])
 def test_zech_counts_x_equal_one_once(monkeypatch, p, e, chunk):
-    """For even e, A B = q: the last entry (A-1, A-1) is k = q - 1, which is
+    """For every e, A B = q: the last entry (A-1, B-1) is k = q - 1, which is
     x = 1 again.  f = x^(q-1) is 1 on F_q^* and 0 at 0, so its histogram is
     known; a second x = 1 would make it sum to q + 1.  _CHUNK = 7 puts
     (A-1, A-1) in a row block of its own."""
@@ -427,11 +488,11 @@ def test_zech_counts_x_equal_one_once(monkeypatch, p, e, chunk):
     assert kernels._trace_histogram_zech(f) == oracle_histogram(f)
 
 
-@pytest.mark.parametrize("chunk,exact,fold", [(40, None, None), (None, 0, None), (None, None, -1)])
-def test_zech_half_product_blocks_and_reductions(monkeypatch, chunk, exact, fold):
-    """The half product across many row blocks, in int64, and with each entry
-    reduced mod p instead of folded."""
-    for name, value in (("_CHUNK", chunk), ("_FLOAT64_EXACT", exact), ("_FOLD_MAX", fold)):
+@pytest.mark.parametrize("chunk,cache,fold", [(40, None, None), (None, 0, None), (None, None, -1)])
+def test_zech_half_product_blocks_and_reductions(monkeypatch, chunk, cache, fold):
+    """The half product across many row blocks, with no power table kept
+    between calls, and with each entry reduced mod p instead of folded."""
+    for name, value in (("_CHUNK", chunk), ("_TERM_ROWS_BYTES", cache), ("_FOLD_MAX", fold)):
         if value is not None:
             monkeypatch.setattr(kernels, name, value)
     seen = spy_symmetric(monkeypatch)
@@ -441,3 +502,22 @@ def test_zech_half_product_blocks_and_reductions(monkeypatch, chunk, exact, fold
         f = F.poly([rng.randrange(p) for _ in range(6)] + [1])
         assert kernels._trace_histogram_zech(f) == oracle_histogram(f)
     assert all(seen)
+
+
+def test_zech_term_rows_byte_bound_evicts_oldest(monkeypatch):
+    """The tables used last stay while they fit the byte bound; the oldest
+    leave first, and a call keeps all of its own even past the bound."""
+    F = build_field(3, 5)  # A = 27 rows of 5 one-byte digits: 135 bytes a table
+    cache = kernels._term_rows_cache
+    cache.clear()
+    monkeypatch.setattr(kernels, "_TERM_ROWS_BYTES", 3 * 135)
+    for k in (1, 2, 4):
+        kernels._term_rows(F, [k])
+    assert [k for _, k in cache] == [1, 2, 4]
+    kernels._term_rows(F, [1])  # used again, so newest
+    kernels._term_rows(F, [5])
+    assert [k for _, k in cache] == [4, 1, 5]
+    tables = kernels._term_rows(F, [7, 8, 10, 11])
+    assert [k for _, k in cache] == [7, 8, 10, 11]
+    assert sum(Z.nbytes for Z in tables) == 4 * 135
+    cache.clear()

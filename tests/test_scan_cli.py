@@ -106,6 +106,26 @@ def test_scan_x_squared_no_witness():
     assert all(r.np_eq_hp for r in records)
 
 
+@pytest.mark.parametrize("poly", ["x^4+x", "x^7+x"])
+def test_scan_verdict_needs_an_admissible_gap(poly):
+    """Small primes give these f both an NP = HP row and a gap >= 1/(2d),
+    but no Dickson factor makes a prime admissible, so no gap backs the
+    verdict: the paper proves the gap only at admissible primes."""
+    _, summary = run_scan(parse_poly(poly), ScanOptions(p_max=100, timing=False))
+    assert summary.hint is None and summary.n_admissible == 0
+    assert summary.n_np_eq_hp and summary.n_gap_witness
+    assert summary.verdict == VERDICT_NO_WITNESS
+
+
+def test_cli_scan_without_hint_witnesses_no_oscillation():
+    """x^3 without its detected factor D_3(x, 0): the gaps stay in the counts
+    but admit no verdict."""
+    res = cli("scan", "x^3", "--p-max", "30", "--no-auto-hint", "--no-timing")
+    assert res.returncode == 0
+    assert "# verdict: no oscillation witnessed up to bound" in res.stderr
+    assert "np_eq_hp=3 gap_witness=6 admissible=0" in res.stderr
+
+
 def test_scan_dickson5_oscillates():
     records, summary = run_scan(dickson(5, F(1)), ScanOptions(p_max=11))
     assert summary.hint == DicksonSpec(5, F(1))
