@@ -6,11 +6,11 @@ each record: does NP equal the Hodge polygon, how large is the vertical
 gap, is some slope repeated, and -- when a Dickson factor (n, a) drives
 the scan -- is (p, a, n) admissible.  Two theorem-backed invariants are
 enforced per record, and the scan verdict says "oscillates" exactly when
-an NP = HP prime and an admissible prime with a gap >= 1/(2d) were seen.
-The paper proves that gap only at admissible primes, where it recurs, so
-the polygons cannot converge; a gap at any other prime, as small primes
-show for f without a global permutation factor, backs no verdict.  The
-gap_witness count still counts every row with the gap.
+an NP = HP prime and an admissible prime with a gap >= 1/(2d) were seen:
+the paper proves that such gaps recur, so the polygons cannot converge.
+A gap at a prime that is not admissible (small primes show some for f
+with no global permutation factor) backs no verdict, though gap_witness
+counts it.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 this module is the only one that writes a record or reads one back.  An

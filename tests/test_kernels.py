@@ -406,7 +406,7 @@ def test_zech_full_product_on_other_coefficients(monkeypatch, p, e):
 ODD_GRID = [
     (p, e)
     for p in (2, 3, 5, 7, 13)
-    for e in (3, 5, 7, 9, 11)
+    for e in (3, 5, 7, 9, 11, 13)
     if p**e <= 4 * 10**5
 ]
 
