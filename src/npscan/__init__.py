@@ -2,8 +2,10 @@
 zeta numerators, and Dickson/permutation structure over Q.
 
 Everything is exact: finite-field arithmetic on canonical models,
-coefficients in Z[zeta_p], polygon vertices in Q^2.  No floats are used
-anywhere in a computed value.
+coefficients in Z[zeta_p], polygon vertices in Q^2.  The Zech
+trace-histogram kernel sums integers in float32 below 2^24 and float64
+below 2^53, where both are exact, and raises BudgetExceeded for a field
+past those bounds.
 """
 
 __version__ = "0.1.0"

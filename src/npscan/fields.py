@@ -5,6 +5,8 @@ lexicographically smallest monic irreducible polynomial of degree e over
 F_p, coefficient tuples compared low-degree-first.  Fixing the modulus
 (and a positional element order) makes every downstream artifact --
 exponential sums, polygons, CSV rows -- reproducible byte for byte.
+So there is one F_{p^e} per (p, e): build_field makes it, and fields,
+their elements and polynomials over them are compared by that identity.
 
 Elements are dense coefficient vectors over F_p.  There are no log
 tables; nothing here limits field size except the enumeration budget
@@ -65,42 +67,6 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _rem(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    # mod is monic; reduce a in place from the top
-    a = [c % p for c in a]
-    dm = len(mod) - 1
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k]
-        if c:
-            for i in range(dm):
-                a[k - dm + i] = (a[k - dm + i] - c * mod[i]) % p
-            a[k] = 0
-    del a[dm:]
-    return _trim(a)
-
-
-def _mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _rem(res, mod, p)
-
-
-def _powmod(base: Sequence[int], exp: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    cur = _rem(base, mod, p)
-    while exp:
-        if exp & 1:
-            result = _mulmod(result, cur, mod, p)
-        cur = _mulmod(cur, cur, mod, p)
-        exp >>= 1
-    return result
-
-
 def _rem_by(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     # remainder of a mod b over F_p; b nonzero and trimmed
     r = _trim([c % p for c in a])
@@ -114,6 +80,28 @@ def _rem_by(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
         r.pop()  # leading term cancels exactly
         _trim(r)
     return r
+
+
+def _mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                res[i + j] = (res[i + j] + ai * bj) % p
+    return _rem_by(res, mod, p)
+
+
+def _powmod(base: Sequence[int], exp: int, mod: Sequence[int], p: int) -> list[int]:
+    result = [1]
+    cur = _rem_by(base, mod, p)
+    while exp:
+        if exp & 1:
+            result = _mulmod(result, cur, mod, p)
+        cur = _mulmod(cur, cur, mod, p)
+        exp >>= 1
+    return result
 
 
 def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -220,34 +208,27 @@ class FieldElement:
 class FiniteField:
     """F_{p^e} = F_p[x]/(modulus) with a fixed positional element order.
 
+    The modulus is the canonical one, _smallest_irreducible(p, e), and
+    fields compare by identity: build_field makes the one instance per
+    (p, e) that the program uses, and a field unpickles as that instance.
+
     Element number k (0 <= k < q) has coefficient vector given by the
     base-p digits of k, least significant digit first.
     """
 
-    def __init__(self, p: int, e: int, modulus: Sequence[int]):
+    def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
-        if not _is_irreducible(list(modulus), p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.e = e
         self.q = p**e
-        self.modulus = modulus
+        self.modulus = _smallest_irreducible(p, e)
         self._trace_vec: tuple[int, ...] | None = None
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FiniteField)
-            and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
+    def __reduce__(self):
+        return build_field, (self.p, self.e)
 
     def __repr__(self) -> str:
         return f"F_{self.p}" if self.e == 1 else f"F_{self.p}^{self.e}"
@@ -259,8 +240,7 @@ class FiniteField:
             return FieldElement(self, (value % self.p,) + (0,) * (self.e - 1))
         coeffs = [c % self.p for c in value]
         if len(coeffs) > self.e:
-            red = _rem(coeffs, self.modulus, self.p)
-            coeffs = red
+            coeffs = _rem_by(coeffs, self.modulus, self.p)
         coeffs += [0] * (self.e - len(coeffs))
         return FieldElement(self, tuple(coeffs))
 
@@ -378,12 +358,8 @@ class FieldPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def build_field(p: int, e: int) -> FiniteField:
-    """The canonical F_{p^e}: smallest-modulus representative, cached."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if e < 1:
-        raise ValueError("extension degree must be >= 1")
-    return FiniteField(p, e, _smallest_irreducible(p, e))
+    """The canonical F_{p^e}: the one instance per (p, e), cached."""
+    return FiniteField(p, e)
 
 
 class Embedding:

@@ -259,15 +259,20 @@ def _find_generator(field: FiniteField):
     raise AssertionError("no generator found")  # unreachable for e >= 2
 
 
-def _powers_rows(step: np.ndarray, count: int, p: int) -> np.ndarray:
-    """Digit rows of y^0 .. y^(count-1), step the multiplication matrix of
-    y (or a stack of them), built by block doubling."""
-    rows = np.zeros(step.shape[:-2] + (count, step.shape[-1]), dtype=np.int64)
+def _powers_rows(step: np.ndarray, count: int, p: int, dtype=np.int64) -> np.ndarray:
+    """Digit rows of y^0 .. y^(count-1) in dtype, step the multiplication
+    matrix of y (or a stack of them), built by block doubling.  Products
+    run in int64 on chunks of about _CHUNK entries, so no int64 copy of the
+    whole table is made."""
+    rows = np.zeros(step.shape[:-2] + (count, step.shape[-1]), dtype=dtype)
     rows[..., 0, 0] = 1
+    chunk = max(1, _CHUNK // (math.prod(step.shape[:-2]) * step.shape[-1]))
     have = 1  # step multiplies by y^have
     while have < count:
         take = min(have, count - have)
-        rows[..., have : have + take, :] = rows[..., :take, :] @ step % p
+        for lo in range(0, take, chunk):
+            hi = min(take, lo + chunk)
+            rows[..., have + lo : have + hi, :] = rows[..., lo:hi, :] @ step % p
         step, have = step @ step % p, have + take
     return rows
 
@@ -303,35 +308,39 @@ _TERM_ROWS_BYTES = 4 << 20  # tables kept by _term_rows beyond the current call'
 _term_rows_cache: OrderedDict[tuple[FiniteField, int], np.ndarray] = OrderedDict()
 
 
+def _kept_bytes() -> int:
+    """Bytes held by the cached tables: each is a view into the stack it
+    was built in, which is freed only with its last view."""
+    stacks = {id(rows.base): rows.base.nbytes for rows in _term_rows_cache.values()}
+    return sum(stacks.values())
+
+
 def _term_rows(field: FiniteField, ks: list[int]) -> list[np.ndarray]:
     """For each term degree k, the digit rows of g^(k*j), j < A, in the
     smallest unsigned dtype that holds p - 1: A*e digits, read-only.
 
     The degrees not cached yet are built together: the digits of g^k from
     one table of powers, then one block-doubling pass over the stack of
-    their multiplication matrices.  The tables used last are kept while
-    they total at most _TERM_ROWS_BYTES, and the current call's always
-    are.  Under the default budget (q <= 10^8) the largest table is
-    F_{463^3}'s, 463^2 * 3 two-byte digits = 1.29 MB, so the cache holds
-    at most 4 MB plus one such table per term of the current call.
+    their multiplication matrices, filled in that dtype.  The tables used
+    last are kept while their stacks total at most _TERM_ROWS_BYTES, and
+    the current call's always are.  Under the default budget (q <= 10^8)
+    the largest table is F_{463^3}'s, 463^2 * 3 two-byte digits = 1.29 MB,
+    so the cache holds at most 4 MB plus the current call's stacks.
     """
     cache, p = _term_rows_cache, field.p
     missing = [k for k in dict.fromkeys(ks) if (field, k) not in cache]
     if missing:
         z = _zech_field(field)
         digits = _powers_rows(z.G, max(missing) + 1, p)[missing]
-        powers = _powers_rows(_mul_matrices(field, digits), z.A, p)
-        dtype = np.min_scalar_type(p - 1)
+        powers = _powers_rows(_mul_matrices(field, digits), z.A, p, np.min_scalar_type(p - 1))
+        powers.flags.writeable = False
         for k, rows in zip(missing, powers):
-            rows = rows.astype(dtype)
-            rows.flags.writeable = False
             cache[field, k] = rows
     for k in ks:
         cache.move_to_end((field, k))
     out = [cache[field, k] for k in ks]
-    size = sum(rows.nbytes for rows in cache.values())
-    while size > _TERM_ROWS_BYTES and len(cache) > len(set(ks)):
-        size -= cache.popitem(last=False)[1].nbytes  # the oldest, never one of ks
+    while len(cache) > len(set(ks)) and _kept_bytes() > _TERM_ROWS_BYTES:
+        cache.popitem(last=False)  # the oldest, never one of ks
     return out
 
 

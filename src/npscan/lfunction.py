@@ -84,17 +84,10 @@ class LPolynomial:
         return self.p**self.h
 
 
-@functools.lru_cache(maxsize=512)
-def _extension_histogram(fbar: FieldPolynomial, m: int) -> tuple[int, ...]:
-    """Trace histogram of fbar pushed into F_{q^m}; cached per (fbar, m)."""
-    base = fbar.field
-    ext = build_field(base.p, base.e * m)
-    return _pushed_histogram(embed(base, ext).map_poly(fbar))
-
-
 # Different (fbar, m) can push to one polynomial: base change asks for fext
 # over F_{q^n} at m, the base L for fbar at n m, and both push F_p
-# coefficients into the same canonical field.
+# coefficients into the same canonical field.  So the histogram is cached
+# per pushed polynomial, whose hash is cheap: fields hash by identity.
 @functools.lru_cache(maxsize=512)
 def _pushed_histogram(fext: FieldPolynomial) -> tuple[int, ...]:
     hist = kernels.trace_histogram(fext)
@@ -107,8 +100,10 @@ def trace_counts(fbar: FieldPolynomial, m: int, budget: int | None = None) -> tu
     """t_a = #{x in F_{q^m} : Tr(fbar(x)) = a}, a = 0..p-1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    check_enum_budget(fbar.field.q**m, budget)
-    return _extension_histogram(fbar, m)
+    base = fbar.field
+    check_enum_budget(base.q**m, budget)
+    ext = build_field(base.p, base.e * m)
+    return _pushed_histogram(embed(base, ext).map_poly(fbar))
 
 
 def exp_sum(fbar: FieldPolynomial, m: int, chi: Character, budget: int | None = None) -> CycInt:

@@ -5,12 +5,18 @@ The frozen moduli below were derived by hand: candidates are ordered by
 equivalent to having no root, so the first root-free candidate wins.
 """
 
+import operator
+import pickle
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from npscan import fields
 from npscan.errors import FieldMismatch, NoEmbedding, NotPrime
 from npscan.fields import (
     FieldPolynomial,
+    FiniteField,
     build_field,
     embed,
     is_prime,
@@ -229,3 +235,62 @@ def test_mul_commutes_with_embedding_f49(i, j):
     phi = embed(F, G)
     a, b = F.from_index(i), F.from_index(j)
     assert phi(a * b) == phi(a) * phi(b)
+
+
+def test_one_field_per_p_e():
+    assert build_field(7, 3) is build_field(7, 3)
+    assert build_field(7, 3) is not build_field(7, 2)
+    assert build_field(7, 3).one() == build_field(7, 3).element(1)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 4), (101, 2)])
+def test_field_unpickles_as_the_canonical_instance(p, e):
+    F = build_field(p, e)
+    assert pickle.loads(pickle.dumps(F)) is F
+    f = F.poly([F.from_index(F.q - 1), 0, 1])
+    g = pickle.loads(pickle.dumps(f))
+    assert g.field is F and all(c.field is F for c in g.coeffs)
+    assert g == f and hash(g) == hash(f)
+
+
+def test_irreducibility_is_tested_only_by_the_modulus_search(monkeypatch):
+    """A field proves its modulus irreducible by finding it, and nothing
+    afterwards (arithmetic, reduction, embedding) tests it again."""
+    callers = []
+    exact = fields._is_irreducible
+
+    def spy(mod, p):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return exact(mod, p)
+
+    monkeypatch.setattr(fields, "_is_irreducible", spy)
+    F = FiniteField(13, 4)
+    x = F.gen()
+    assert (x**4).coeffs == tuple(-c % 13 for c in F.modulus[:4])
+    assert F.element([0, 0, 0, 0, 1]) == x**4
+    sub, sup = build_field(13, 2), build_field(13, 4)
+    assert sup.poly(sub.modulus)(embed(sub, sup)(sub.gen())).is_zero()
+    assert callers and set(callers) == {"_smallest_irreducible"}
+
+
+def test_directly_built_field_is_never_mixed_with_the_canonical_one():
+    """FiniteField(p, e) made outside build_field is another object: its
+    elements and polynomials raise FieldMismatch against build_field(p, e)'s
+    instead of combining silently, and it unpickles as the canonical one."""
+    F, G = build_field(5, 3), FiniteField(5, 3)
+    assert G is not F and G.modulus == F.modulus
+    x, y = F.from_index(7), G.from_index(7)
+    assert x != y
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(FieldMismatch):
+            op(x, y)
+    with pytest.raises(FieldMismatch):
+        F.trace(y)
+    with pytest.raises(FieldMismatch):
+        F.poly([1, y])
+    with pytest.raises(FieldMismatch):
+        F.poly([1, 1])(y)
+    with pytest.raises(FieldMismatch):
+        embed(F, build_field(5, 6))(y)
+    assert pickle.loads(pickle.dumps(G)) is F
+

@@ -15,6 +15,7 @@ Which inputs each route takes:
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -521,3 +522,41 @@ def test_zech_term_rows_byte_bound_evicts_oldest(monkeypatch):
     assert [k for _, k in cache] == [7, 8, 10, 11]
     assert sum(Z.nbytes for Z in tables) == 4 * 135
     cache.clear()
+
+
+def test_zech_term_rows_bound_counts_shared_stacks(monkeypatch):
+    """Tables built in one call are views into one stack, which stays in
+    memory while any of them is cached, so the byte bound counts it whole."""
+    F = build_field(3, 5)  # 135 bytes a table
+    cache = kernels._term_rows_cache
+    cache.clear()
+    monkeypatch.setattr(kernels, "_TERM_ROWS_BYTES", 2 * 135)
+    kernels._term_rows(F, [1, 2])  # one stack of two tables
+    kernels._term_rows(F, [1])
+    assert [k for _, k in cache] == [2, 1] and kernels._kept_bytes() == 2 * 135
+    kernels._term_rows(F, [4])
+    assert [k for _, k in cache] == [4]  # dropping 2 alone frees no byte
+    assert kernels._kept_bytes() == 135
+    cache.clear()
+
+
+def test_zech_power_tables_fill_their_kept_dtype():
+    """Cold, the histogram of x^7 + x over F_{463^3}, the largest field for
+    two-byte tables under the default budget, peaks at no more than twice
+    the tables it keeps: they are filled in uint16 chunk by chunk, never
+    held whole in int64."""
+    F = build_field(463, 3)
+    f = F.poly([0, 1, 0, 0, 0, 0, 0, 1])
+    kernels._zech_field.cache_clear()
+    kernels._term_rows_cache.clear()
+    tracemalloc.start()
+    try:
+        hist = kernels._trace_histogram_zech(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = kernels._kept_bytes()
+    assert kept == 2 * 463**2 * 3 * 2  # k = 1, 7: A = 463^2 rows of 3 digits
+    assert peak <= 2 * kept
+    assert sum(hist) == F.q
+    kernels._term_rows_cache.clear()

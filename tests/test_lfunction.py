@@ -279,7 +279,8 @@ def test_base_change_invariance():
 
 def test_base_change_histograms_each_pushed_polynomial_once(monkeypatch):
     """fext over F_{q^n} at m and fbar over F_q at n m push into one field:
-    the base-change check histograms that polynomial once."""
+    the base-change check histograms that polynomial once, as the one
+    histogram cache is keyed by the pushed polynomial."""
     from npscan import kernels
 
     seen = []
@@ -291,12 +292,12 @@ def test_base_change_histograms_each_pushed_polynomial_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "trace_histogram", counted)
     lfunction._full_l_polynomial.cache_clear()
-    lfunction._extension_histogram.cache_clear()
     lfunction._pushed_histogram.cache_clear()
     fbar = reduce_mod_p(Q(1, 2, 0, 1, 0, 1), 3)  # d = 5: F_3 .. F_{3^8}
     assert np_base_change_check(fbar, 2)
     assert len(seen) == len(set(seen)) == 6  # F_{3^m}, m = 1, 2, 3, 4, 6, 8
     assert sorted(f.field.e for f in seen) == [1, 2, 3, 4, 6, 8]
+    assert lfunction._pushed_histogram.cache_info().misses == 6
 
 
 def test_full_l_polynomial_is_shared():

@@ -44,3 +44,14 @@ def test_crosscheck_grid_one_cell(capsys):
     grid = load("crosscheck_grid")
     assert grid.main(["--primes", "3", "--degrees", "2", "--per-cell", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"
+
+
+def test_crosscheck_grid_skips_a_cell_over_the_budget(capsys):
+    """At p = 2, d = 29 the full L needs 2^28 elements, over --max-enum:
+    the cell is skipped with the refused enumeration, not a traceback."""
+    grid = load("crosscheck_grid")
+    assert grid.main(["--primes", "2", "--degrees", "29", "--per-cell", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "p=2 d=29: skip (enumeration of 16777216 elements exceeds budget 10000000)",
+        "all checks passed",
+    ]
