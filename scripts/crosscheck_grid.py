@@ -46,6 +46,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
+    budget = int(args.max_enum)
     failures = 0
     for p in args.primes:
         field = build_field(p, 1)
@@ -53,7 +54,6 @@ def main(argv=None):
             if math.gcd(d, p) != 1:
                 print(f"p={p} d={d}: skip (p divides d)")
                 continue
-            budget = int(args.max_enum)
             t0 = time.perf_counter()
             try:
                 for i in range(args.per_cell):
