@@ -30,30 +30,29 @@ by value and folded mod p once per call), float64 below 2^53.  The Zech
 guard checks K terms' sums against 2^53, which every field below about
 4.5e15 / K elements passes, past any budget that can be enumerated;
 beyond it the route raises BudgetExceeded before any work.  Its
-per-field set-up (a generator, the trace form, sigma) and the power
-tables per term degree are kept in bounded caches, the tables in 4 MB
-besides the current call's (at most 1.29 MB a table under the default
-budget, see _term_rows); everything else is per call.
+per-field set-up (a generator, the trace form, sigma) is cached; its
+power tables (at most 1.29 MB each under the default budget, see
+_term_rows), like everything else, are built per call.
 
-Per call, in ms (Horner / Zech with its caches cold / warm; random monic
-f with F_p coefficients, medians of 41 calls, 11 for F_{101^3}, one
-2-core x86-64 machine, numpy 2.4, one BLAS thread):
+Per call, in ms (Horner / Zech with its set-up cold / warm; random monic
+f with F_p coefficients, the median of 5 rounds of medians of 41 calls,
+11 for F_{101^3}, one 2-core x86-64 machine, numpy 2.4, one BLAS thread):
 
-    field       d = 3                 d = 7
-    F_{3^7}     1.64 / 0.72 / 0.09    2.36 / 0.73 / 0.12
-    F_{5^5}     1.42 / 0.56 / 0.09    2.09 / 0.65 / 0.14
-    F_{2^11}    4.44 / 0.91 / 0.10    5.76 / 1.10 / 0.15
-    F_{7^4}     0.79 / 0.44 / 0.09    1.13 / 0.48 / 0.11
-    F_{5^4}     0.24 / 0.37 / 0.06    0.35 / 0.43 / 0.10
-    F_{7^3}     0.11 / 0.32 / 0.06    0.16 / 0.35 / 0.09
-    F_{47^2}    0.29 / 0.37 / 0.15    0.48 / 0.56 / 0.30
-    F_{101^3}   232.54 / 8.39 / 7.16  385.75 / 15.47 / 12.24
+    field       d = 3                   d = 7
+    F_{3^7}     2.48 / 0.79 / 0.37      3.41 / 1.30 / 0.48
+    F_{5^5}     2.05 / 1.01 / 0.36      2.91 / 1.10 / 0.40
+    F_{2^11}    6.46 / 1.83 / 0.40      8.70 / 1.95 / 0.53
+    F_{7^4}     1.28 / 0.92 / 0.32      1.93 / 1.02 / 0.41
+    F_{5^4}     0.41 / 0.73 / 0.24      0.60 / 0.86 / 0.32
+    F_{7^3}     0.21 / 0.71 / 0.26      0.30 / 0.42 / 0.19
+    F_{47^2}    0.33 / 0.43 / 0.24      0.83 / 1.08 / 0.67
+    F_{101^3}   371.86 / 12.67 / 11.85  591.37 / 17.62 / 16.36
 
 Cold, the Zech route loses only on the smallest e = 3 or 4 fields, by up
-to 0.25 ms; the caches keep a field's set-up and its power tables.  Below
-2^12 it is behind Horner on F_{p^2} when cold, as a scan meets each
-prime's field, and ahead when warm.  An F_p never takes it: its tables
-would have p rows, and Horner takes 5 ms at p = 50023.
+to 0.5 ms; warm, only on F_{7^3} at d = 3, by 0.05 ms.  Below 2^12 it is
+behind Horner on F_{p^2} when cold, as a scan meets each prime's field,
+and ahead when warm.  An F_p never takes it: its tables would have p
+rows, and Horner takes 5 ms at p = 50023.
 
 Element number k of F_{p^e} has the base-p digits of k as its coefficient
 vector, least significant first, matching FiniteField.from_index.
@@ -63,7 +62,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -304,44 +302,15 @@ def _zech_field(field: FiniteField) -> _ZechField:
     return _ZechField(B, q // B, G, H, S)
 
 
-_TERM_ROWS_BYTES = 4 << 20  # tables kept by _term_rows beyond the current call's
-_term_rows_cache: OrderedDict[tuple[FiniteField, int], np.ndarray] = OrderedDict()
-
-
-def _kept_bytes() -> int:
-    """Bytes held by the cached tables: each is a view into the stack it
-    was built in, which is freed only with its last view."""
-    stacks = {id(rows.base): rows.base.nbytes for rows in _term_rows_cache.values()}
-    return sum(stacks.values())
-
-
-def _term_rows(field: FiniteField, ks: list[int]) -> list[np.ndarray]:
-    """For each term degree k, the digit rows of g^(k*j), j < A, in the
-    smallest unsigned dtype that holds p - 1: A*e digits, read-only.
-
-    The degrees not cached yet are built together: the digits of g^k from
-    one table of powers, then one block-doubling pass over the stack of
-    their multiplication matrices, filled in that dtype.  The tables used
-    last are kept while their stacks total at most _TERM_ROWS_BYTES, and
-    the current call's always are.  Under the default budget (q <= 10^8)
-    the largest table is F_{463^3}'s, 463^2 * 3 two-byte digits = 1.29 MB,
-    so the cache holds at most 4 MB plus the current call's stacks.
-    """
-    cache, p = _term_rows_cache, field.p
-    missing = [k for k in dict.fromkeys(ks) if (field, k) not in cache]
-    if missing:
-        z = _zech_field(field)
-        digits = _powers_rows(z.G, max(missing) + 1, p)[missing]
-        powers = _powers_rows(_mul_matrices(field, digits), z.A, p, np.min_scalar_type(p - 1))
-        powers.flags.writeable = False
-        for k, rows in zip(missing, powers):
-            cache[field, k] = rows
-    for k in ks:
-        cache.move_to_end((field, k))
-    out = [cache[field, k] for k in ks]
-    while len(cache) > len(set(ks)) and _kept_bytes() > _TERM_ROWS_BYTES:
-        cache.popitem(last=False)  # the oldest, never one of ks
-    return out
+def _term_rows(field: FiniteField, ks: list[int]) -> np.ndarray:
+    """The digit rows of g^(k*j), j < A, for each term degree k, stacked
+    (len(ks), A, e) in the smallest unsigned dtype that holds p - 1: the
+    digits of g^k from one table of powers, then one block-doubling pass
+    over their multiplication matrices.  Under the default budget the
+    largest table is F_{463^3}'s, 463^2 * 3 two-byte digits = 1.29 MB."""
+    z, p = _zech_field(field), field.p
+    digits = _powers_rows(z.G, max(ks) + 1, p)[ks]
+    return _powers_rows(_mul_matrices(field, digits), z.A, p, np.min_scalar_type(p - 1))
 
 
 def _merged_terms(fbar: FieldPolynomial) -> list[tuple[int, FieldElement]]:

@@ -87,8 +87,10 @@ class LPolynomial:
 # Different (fbar, m) can push to one polynomial: base change asks for fext
 # over F_{q^n} at m, the base L for fbar at n m, and both push F_p
 # coefficients into the same canonical field.  So the histogram is cached
-# per pushed polynomial, whose hash is cheap: fields hash by identity.
-@functools.lru_cache(maxsize=512)
+# per pushed polynomial, whose hash is cheap: fields hash by identity.  A
+# crosscheck at one prime asks again within a few dozen requests (its misses
+# are the same at 16 entries as at 512), and a scan never asks twice.
+@functools.lru_cache(maxsize=32)
 def _pushed_histogram(fext: FieldPolynomial) -> tuple[int, ...]:
     hist = kernels.trace_histogram(fext)
     if sum(hist) != fext.field.q:

@@ -14,9 +14,10 @@ counts it.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 this module is the only one that writes a record or reads one back.  An
-append-only JSON-lines cache keyed by a content hash skips recomputation.
-A record stores only what its prime's computation produced; the flags are
-derived from its polygon, so a cache line replays its stored fields only.
+append-only JSON-lines cache keyed by a content hash skips recomputation
+of the rows this scan's budget would let it compute.  A record stores only
+what its prime's computation produced; the flags are derived from its
+polygon, so a cache line replays its stored fields only.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import IO, Sequence
 from . import ratpoly
 from .dickson import DicksonSpec, find_dickson_factor, is_admissible
 from .errors import BudgetExceeded, InvariantViolation, NotPrime
-from .fields import is_prime
+from .fields import DEFAULT_ENUM_BUDGET, is_prime
 from .lfunction import np_at_prime
 from .polygons import ConvexPolygon, hodge_polygon, lies_above, vertical_gap
 
@@ -231,9 +232,12 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
 
     cached: dict[int, ScanRecord] = {}
     cache = cache_load(opts.cache_path) if opts.cache_path is not None else {}
+    # the key leaves the budget out: a row is replayed only where half of L
+    # would pass it, the p^((d-1) // 2) check of l_polynomial(..., half=True)
+    limit = DEFAULT_ENUM_BUDGET if opts.budget is None else opts.budget
     for p in primes if cache else ():  # no rows, no keys to hash
         rec = cache.get(cache_key(fq, p, opts.char))
-        if rec is not None:
+        if rec is not None and p ** ((d - 1) // 2) <= limit:
             # admissible depends on this scan's hint, which the key leaves out;
             # ms is settled here, so the renderers print what the record holds
             cached[p] = replace(

@@ -127,7 +127,9 @@ def test_c02_gap_bound_at_inert_primes():
 
 
 def test_c03_oscillation_for_dickson_factor():
-    with report("C03", "D_5(x,1) oscillates: admissible p=7 vs split p=11"):
+    with report(
+        "C03", "D_5(x,1) oscillates: admissible p=7 vs split p=11; x^4+x, unhinted D_5 do not"
+    ):
         t0 = time.perf_counter()
         f = dickson(5, F(1))
         assert f == (F(0), F(5), F(0), F(-5), F(0), F(1))
@@ -139,6 +141,13 @@ def test_c03_oscillation_for_dickson_factor():
         assert poly11 == hodge_polygon(5)
         _, summary = run_scan(f, ScanOptions(p_max=11))
         assert summary.verdict == "oscillates (limit cannot exist)"
+        # the verdict needs the hypothesis: gaps with no global permutation
+        # factor behind them, or with D_5's factor not looked for, back none
+        _, x4x = run_scan(X4X, ScanOptions(p_max=30, timing=False))
+        _, unhinted = run_scan(f, ScanOptions(p_max=11, auto_hint=False))
+        for negative in (x4x, unhinted):
+            assert negative.n_np_eq_hp and negative.n_gap_witness
+            assert negative.verdict == "no oscillation witnessed up to bound"
         assert time.perf_counter() - t0 < 60.0
 
 

@@ -17,6 +17,7 @@ Which inputs each route takes:
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from npscan import kernels
@@ -168,27 +169,18 @@ def test_zech_field_setup_reused_across_polynomials():
     F = build_field(5, 6)
     polys = [random_poly(F, 3, rng), random_poly(F, 6, rng)]
     kernels._zech_field.cache_clear()
-    kernels._term_rows_cache.clear()
     warm = [kernels._trace_histogram_zech(f) for f in polys]
     cold = []
     for f in polys:
         kernels._zech_field.cache_clear()
-        kernels._term_rows_cache.clear()
         cold.append(kernels._trace_histogram_zech(f))
     assert warm == cold == [kernels._trace_histogram_horner(f) for f in polys]
 
 
-@pytest.mark.parametrize("size", [1, 64, 4 << 20])
-def test_zech_term_rows_partly_cached_and_evicted(monkeypatch, size):
-    """Term degrees found in the cache and degrees built together in one
-    call, with the byte bound shrunk so that tables leave the cache between
-    calls (1 byte keeps only the current call's, 64 bytes one F_{3^4} table
-    besides): the rows are the powers g^(k*j), j < A, and the histograms
-    match the oracle."""
-    monkeypatch.setattr(kernels, "_TERM_ROWS_BYTES", size)
-    cache = kernels._term_rows_cache
-    cache.clear()
-    rng = random.Random(size)
+def test_zech_term_rows_are_powers_of_the_generator():
+    """Term degrees repeated and shared between calls: the rows are the
+    powers g^(k*j), j < A, and the histograms match the oracle."""
+    rng = random.Random(1)
     for p, e in [(3, 5), (2, 8), (5, 3), (3, 4)]:
         F = build_field(p, e)
         z = kernels._zech_field(F)
@@ -197,15 +189,11 @@ def test_zech_term_rows_partly_cached_and_evicted(monkeypatch, size):
         for ks in ([1, 2], [2, 4, 5], [1, 5, 7, 5], [7], [11, 1]):
             for k, Z in zip(ks, kernels._term_rows(F, ks)):
                 assert [list(r) for r in Z] == [list((g ** (k * j)).coeffs) for j in range(z.A)]
-            assert all((F, k) in cache for k in ks)
-            kept = sum(Z.nbytes for Z in cache.values())
-            assert kept <= size or len(cache) == len(set(ks))
             coeffs = [0] * (max(ks) + 1)
             for k in ks:
                 coeffs[k] = rng.randrange(1, p)
             f = F.poly(coeffs)
             assert kernels._trace_histogram_zech(f) == oracle_histogram(f)
-    kernels._term_rows_cache.clear()
 
 
 def test_generator_search_runs_once_per_field(monkeypatch):
@@ -489,11 +477,11 @@ def test_zech_counts_x_equal_one_once(monkeypatch, p, e, chunk):
     assert kernels._trace_histogram_zech(f) == oracle_histogram(f)
 
 
-@pytest.mark.parametrize("chunk,cache,fold", [(40, None, None), (None, 0, None), (None, None, -1)])
-def test_zech_half_product_blocks_and_reductions(monkeypatch, chunk, cache, fold):
-    """The half product across many row blocks, with no power table kept
-    between calls, and with each entry reduced mod p instead of folded."""
-    for name, value in (("_CHUNK", chunk), ("_TERM_ROWS_BYTES", cache), ("_FOLD_MAX", fold)):
+@pytest.mark.parametrize("chunk,fold", [(40, None), (None, -1)])
+def test_zech_half_product_blocks_and_reductions(monkeypatch, chunk, fold):
+    """The half product across many row blocks, and with each entry reduced
+    mod p instead of folded."""
+    for name, value in (("_CHUNK", chunk), ("_FOLD_MAX", fold)):
         if value is not None:
             monkeypatch.setattr(kernels, name, value)
     seen = spy_symmetric(monkeypatch)
@@ -505,58 +493,26 @@ def test_zech_half_product_blocks_and_reductions(monkeypatch, chunk, cache, fold
     assert all(seen)
 
 
-def test_zech_term_rows_byte_bound_evicts_oldest(monkeypatch):
-    """The tables used last stay while they fit the byte bound; the oldest
-    leave first, and a call keeps all of its own even past the bound."""
-    F = build_field(3, 5)  # A = 27 rows of 5 one-byte digits: 135 bytes a table
-    cache = kernels._term_rows_cache
-    cache.clear()
-    monkeypatch.setattr(kernels, "_TERM_ROWS_BYTES", 3 * 135)
-    for k in (1, 2, 4):
-        kernels._term_rows(F, [k])
-    assert [k for _, k in cache] == [1, 2, 4]
-    kernels._term_rows(F, [1])  # used again, so newest
-    kernels._term_rows(F, [5])
-    assert [k for _, k in cache] == [4, 1, 5]
-    tables = kernels._term_rows(F, [7, 8, 10, 11])
-    assert [k for _, k in cache] == [7, 8, 10, 11]
-    assert sum(Z.nbytes for Z in tables) == 4 * 135
-    cache.clear()
-
-
-def test_zech_term_rows_bound_counts_shared_stacks(monkeypatch):
-    """Tables built in one call are views into one stack, which stays in
-    memory while any of them is cached, so the byte bound counts it whole."""
-    F = build_field(3, 5)  # 135 bytes a table
-    cache = kernels._term_rows_cache
-    cache.clear()
-    monkeypatch.setattr(kernels, "_TERM_ROWS_BYTES", 2 * 135)
-    kernels._term_rows(F, [1, 2])  # one stack of two tables
-    kernels._term_rows(F, [1])
-    assert [k for _, k in cache] == [2, 1] and kernels._kept_bytes() == 2 * 135
-    kernels._term_rows(F, [4])
-    assert [k for _, k in cache] == [4]  # dropping 2 alone frees no byte
-    assert kernels._kept_bytes() == 135
-    cache.clear()
-
-
 def test_zech_power_tables_fill_their_kept_dtype():
-    """Cold, the histogram of x^7 + x over F_{463^3}, the largest field for
-    two-byte tables under the default budget, peaks at no more than twice
-    the tables it keeps: they are filled in uint16 chunk by chunk, never
-    held whole in int64."""
+    """The tables of x^7 + x over F_{463^3}, the largest field for two-byte
+    tables under the default budget, peak at no more than twice their own
+    bytes: they are filled in uint16 chunk by chunk, never held whole in
+    int64.  A cold histogram call leaves less than one table's bytes
+    allocated after it returns: the tables live for one call."""
     F = build_field(463, 3)
     f = F.poly([0, 1, 0, 0, 0, 0, 0, 1])
+    table = 463**2 * 3 * 2  # A = 463^2 rows of 3 two-byte digits
     kernels._zech_field.cache_clear()
-    kernels._term_rows_cache.clear()
     tracemalloc.start()
     try:
         hist = kernels._trace_histogram_zech(f)
-        peak = tracemalloc.get_traced_memory()[1]
+        left = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tables = kernels._term_rows(F, [1, 7])
+        peak = tracemalloc.get_traced_memory()[1] - left
     finally:
         tracemalloc.stop()
-    kept = kernels._kept_bytes()
-    assert kept == 2 * 463**2 * 3 * 2  # k = 1, 7: A = 463^2 rows of 3 digits
-    assert peak <= 2 * kept
     assert sum(hist) == F.q
-    kernels._term_rows_cache.clear()
+    assert left < table
+    assert tables.dtype == np.uint16 and tables.nbytes == 2 * table
+    assert peak <= 2 * tables.nbytes

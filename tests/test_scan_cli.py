@@ -323,6 +323,21 @@ def test_scan_replays_from_cache(tmp_path):
         assert len(fp.readlines()) == len(first)
 
 
+def test_cache_replays_no_row_the_budget_refuses(tmp_path, capsys):
+    """The cache key leaves the budget out: rows cached at the default
+    budget are recomputed, and refused, under a budget below p^2."""
+    path = str(tmp_path / "cache.jsonl")
+    scan = ["scan", "dickson(5,1)", "--p-max", "13", "--no-timing"]
+    assert main(scan + ["--cache", path]) == 0
+    capsys.readouterr()
+    outputs = []
+    for cache in (["--cache", path], []):
+        assert main(scan + ["--budget", "50"] + cache) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "errors=2" in outputs[0].err and VERDICT_NO_WITNESS in outputs[0].err
+
+
 def test_cache_replay_recomputes_admissible(tmp_path):
     """admissible depends on the Dickson hint, which the cache key leaves out."""
     path = str(tmp_path / "cache.jsonl")

@@ -9,6 +9,8 @@ import pathlib
 
 import pytest
 
+from npscan import curvezeta
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -55,3 +57,24 @@ def test_crosscheck_grid_skips_a_cell_over_the_budget(capsys):
         "p=2 d=29: skip (enumeration of 16777216 elements exceeds budget 10000000)",
         "all checks passed",
     ]
+
+
+def test_crosscheck_grid_refuses_before_computing_every_l(monkeypatch, capsys):
+    """At p = 7, d = 4 the curve needs 7^9 elements, over --max-enum: the
+    product formula computes L(chi_1), then P_1 refuses, so the cell costs
+    one L-polynomial, not p - 1 = 6."""
+    calls = []
+    l_polynomial = curvezeta.l_polynomial
+
+    def counted(gbar, chi, budget):
+        calls.append(chi)
+        return l_polynomial(gbar, chi, budget)
+
+    monkeypatch.setattr(curvezeta, "l_polynomial", counted)
+    grid = load("crosscheck_grid")
+    assert grid.main(["--primes", "7", "--degrees", "4", "--per-cell", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "p=7 d=4: skip (enumeration of 40353607 elements exceeds budget 10000000)",
+        "all checks passed",
+    ]
+    assert calls == [curvezeta.Character(7, 1)]
