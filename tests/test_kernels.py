@@ -177,18 +177,27 @@ def test_zech_field_setup_reused_across_polynomials():
     assert warm == cold == [kernels._trace_histogram_horner(f) for f in polys]
 
 
-def test_zech_term_rows_are_powers_of_the_generator():
-    """Term degrees repeated and shared between calls: the rows are the
-    powers g^(k*j), j < A, and the histograms match the oracle."""
-    rng = random.Random(1)
+@pytest.mark.parametrize("chunk", [1, 64, 4 << 20])
+def test_zech_term_rows_partly_cached_and_evicted(monkeypatch, chunk):
+    """Term degrees repeated and shared between calls: the field set-up is
+    cached, the tables are built anew by each call and kept by none, and
+    the rows are the powers g^(k*j), j < A, and the histograms match the
+    oracle.  _CHUNK runs the block-doubling pass one row at a time, on
+    chunks that end mid-table, and on the whole table at once."""
+    monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    rng = random.Random(chunk)
     for p, e in [(3, 5), (2, 8), (5, 3), (3, 4)]:
         F = build_field(p, e)
         z = kernels._zech_field(F)
         g = kernels._find_generator(F)
         assert z.A * z.B == F.q
         for ks in ([1, 2], [2, 4, 5], [1, 5, 7, 5], [7], [11, 1]):
-            for k, Z in zip(ks, kernels._term_rows(F, ks)):
+            rows = kernels._term_rows(F, ks)
+            for k, Z in zip(ks, rows):
                 assert [list(r) for r in Z] == [list((g ** (k * j)).coeffs) for j in range(z.A)]
+            again = kernels._term_rows(F, ks)
+            assert not np.shares_memory(rows, again) and (rows == again).all()
+            assert kernels._zech_field(F) is z
             coeffs = [0] * (max(ks) + 1)
             for k in ks:
                 coeffs[k] = rng.randrange(1, p)
