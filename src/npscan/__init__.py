@@ -60,6 +60,7 @@ from .lfunction import (
     LPolynomial,
     exp_sum,
     l_polynomial,
+    monomial_polygon,
     newton_polygon,
     np_at_prime,
     np_base_change_check,

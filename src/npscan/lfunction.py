@@ -22,6 +22,12 @@ l_polynomial(..., half=True) therefore stops the recurrence at
 K = (d-1) // 2 and enumerates no field larger than F_(q^K), and
 newton_polygon fills in the other half; np_at_prime takes this path.
 Without half=True, l_polynomial is the full, exact path.
+
+For f = (x + b)^d + c no field needs enumerating at all: Stickelberger's
+theorem on Gauss sums gives NP_p(f) as a function of p mod d alone, and
+monomial_polygon computes it.  Scan rows of such an f take it, after
+check_half_l_budget, the budget rule of half of L; np_at_prime, the
+full L and the crosscheck stay on the enumeration, which checks it.
 """
 
 from __future__ import annotations
@@ -162,14 +168,22 @@ def l_polynomial(
         chi = Character(p, 1)
     if chi.p != p:
         raise CharacteristicMismatch(f"character mod {chi.p} vs field of characteristic {p}")
-    upto = (d - 1) // 2 if half else d - 1
-    for m in range(1, upto + 1):
-        check_enum_budget(field.q**m, budget)
-    if verify:
-        check_enum_budget(field.q**d, budget)
     if half:
-        return _l_recurrence(fbar, chi, upto, verify)
+        check_half_l_budget(field.q, d, budget)
+        return _l_recurrence(fbar, chi, (d - 1) // 2, verify)
+    for m in range(1, d + 1 if verify else d):
+        check_enum_budget(field.q**m, budget)
     return _full_l_polynomial(fbar, chi, verify)
+
+
+def check_half_l_budget(q: int, d: int, budget: int | None = None) -> None:
+    """Raise BudgetExceeded unless half of L fits the budget: q^m <= budget
+    for m = 1..(d-1) // 2, the fields l_polynomial(..., half=True)
+    enumerates.  The first m that fails names the size, so the closed-form
+    scan rows and the scan cache, which apply the same rule, refuse a row
+    with the same message as the enumeration."""
+    for m in range(1, (d - 1) // 2 + 1):
+        check_enum_budget(q**m, budget)
 
 
 def _l_recurrence(fbar: FieldPolynomial, chi: Character, upto: int, verify: bool) -> LPolynomial:
@@ -221,6 +235,33 @@ def newton_polygon(lpoly: LPolynomial) -> ConvexPolygon:
     return lower_hull(
         (Fraction(k), Fraction(int(v), unit)) for k, v in enumerate(vals) if v != math.inf
     )
+
+
+def monomial_polygon(d: int, p: int) -> ConvexPolygon:
+    """NP_p of f = (x + b)^d + c at a good place p, from Stickelberger's
+    theorem on Gauss sums, with no field enumerated.
+
+    With r the order of p mod d, each a = 1..d-1 gives one slope
+    (1/r) sum_{i<r} {p^i a / d}.  The shift x -> x - b gives
+    S_m(f, chi) = chi(c)^m S_m(x^d, chi), so L(f, chi, t) = L(x^d, chi, chi(c) t)
+    and the root of unity chi(c) moves no valuation: the polygon depends
+    on neither b, c nor the character.  The tests check it against
+    np_at_prime, and crosscheck's character-independence line against the
+    full L.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if math.gcd(d, p) != 1:
+        raise DegreeCharClash(f"gcd(d, p) = gcd({d}, {p}) != 1")
+    powers = [1]  # p^i mod d for i < r
+    while powers[-1] * p % d != 1 % d:
+        powers.append(powers[-1] * p % d)
+    r = len(powers)
+    slopes = sorted(Fraction(sum(pi * a % d for pi in powers), d * r) for a in range(1, d))
+    points = [(Fraction(0), Fraction(0))]
+    for k, slope in enumerate(slopes, 1):
+        points.append((Fraction(k), points[-1][1] + slope))
+    return lower_hull(points)
 
 
 def reduce_mod_p(f: Sequence[Fraction], p: int) -> FieldPolynomial:

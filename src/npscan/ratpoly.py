@@ -119,6 +119,14 @@ def poly_shift(f: QPoly, c) -> QPoly:
     return poly_compose(f, (Fraction(c), Fraction(1)))
 
 
+def is_shifted_monomial(f: QPoly) -> bool:
+    """f = (x + b)^d + c for some b, c in Q, with f monic of degree d >= 1.
+
+    Only b = f_(d-1) / d can work, and then f(x - b) = x^d + c."""
+    d = degree(f)
+    return d >= 1 and is_monic(f) and not any(poly_shift(f, -f[d - 1] / d)[1:d])
+
+
 def to_strings(f: Sequence[Fraction]) -> list[str]:
     return [f"{c.numerator}/{c.denominator}" for c in f]
 

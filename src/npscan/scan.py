@@ -12,6 +12,11 @@ A gap at a prime that is not admissible (small primes show some for f
 with no global permutation factor) backs no verdict, though gap_witness
 counts it.
 
+NP_p(f) comes from half of the L-polynomial (np_at_prime), except when f
+is a shifted monomial (x + b)^d + c: then every row takes Stickelberger's
+closed form (monomial_polygon) after the same budget check, and gives the
+same bytes with no field enumerated.
+
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 this module is the only one that writes a record or reads one back.  An
 append-only JSON-lines cache keyed by a content hash skips recomputation
@@ -29,13 +34,13 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from . import ratpoly
 from .dickson import DicksonSpec, find_dickson_factor, is_admissible
 from .errors import BudgetExceeded, InvariantViolation, NotPrime
-from .fields import DEFAULT_ENUM_BUDGET, is_prime
-from .lfunction import np_at_prime
+from .fields import is_prime
+from .lfunction import check_half_l_budget, monomial_polygon, np_at_prime
 from .polygons import ConvexPolygon, hodge_polygon, lies_above, vertical_gap
 
 CACHE_VERSION = "npscan-cache-1"
@@ -166,6 +171,26 @@ def _admissible(p: int, hint: DicksonSpec | None) -> bool | None:
     return None if hint is None else is_admissible(p, hint.a, hint.n).admissible
 
 
+def monomial_np_at_prime(
+    f: Sequence[Fraction], p: int, chi_index: int = 1, budget: int | None = None
+) -> ConvexPolygon:
+    """np_at_prime for f = (x + b)^d + c at a good place p, from the closed
+    form: the same polygon, or the same BudgetExceeded, with no field
+    enumerated.  The polygon depends on no character, so chi_index is
+    unused."""
+    d = ratpoly.degree(ratpoly.as_poly(f))
+    check_half_l_budget(p, d, budget)
+    return monomial_polygon(d, p)
+
+
+def _half_l_fits(p: int, d: int, budget: int | None) -> bool:
+    try:
+        check_half_l_budget(p, d, budget)
+    except BudgetExceeded:
+        return False
+    return True
+
+
 def scan_record(
     f: Sequence[Fraction],
     p: int,
@@ -173,8 +198,12 @@ def scan_record(
     budget: int | None = None,
     hint: DicksonSpec | None = None,
     timing: bool = True,
+    route: Callable[..., ConvexPolygon] = np_at_prime,
 ) -> ScanRecord:
-    """Compute one record; budget blowups land in the error field."""
+    """Compute one record; budget blowups land in the error field.
+
+    route computes the polygon with np_at_prime's signature; run_scan
+    passes monomial_np_at_prime for a shifted monomial."""
     if not is_prime(p):  # before char % p reads it
         raise NotPrime(f"{p} is not prime")
     fq = ratpoly.as_poly(f)
@@ -185,7 +214,7 @@ def scan_record(
         return ScanRecord(p, char, d, None, admissible, None, "character index divisible by p")
     t0 = time.perf_counter()
     try:
-        poly = np_at_prime(fq, p, c_eff, budget)
+        poly = route(fq, p, c_eff, budget)
     except BudgetExceeded as exc:
         return ScanRecord(p, c_eff, d, None, admissible, None, f"budget-exceeded: {exc}")
     ms = int((time.perf_counter() - t0) * 1000) if timing else None
@@ -195,9 +224,10 @@ def scan_record(
 def validate_record(rec: ScanRecord) -> None:
     """Hard, theorem-backed assertions; a failure is a build-failing event.
 
-    A fresh row's polygon comes from half of L, so its endpoint and its
-    half past K = (d-1) // 2 hold by construction; those checks still bite
-    on cached rows.  The computed half is checked against Hodge here and in
+    A fresh row's polygon comes from half of L, or from the closed form
+    for a shifted monomial, so its endpoint and its half past
+    K = (d-1) // 2 hold by construction; those checks still bite on cached
+    rows.  The computed half is checked against Hodge here and in
     newton_polygon; the full-path comparison is crosscheck's
     character-independence line and the tests.
     """
@@ -233,19 +263,22 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
     cached: dict[int, ScanRecord] = {}
     cache = cache_load(opts.cache_path) if opts.cache_path is not None else {}
     # the key leaves the budget out: a row is replayed only where half of L
-    # would pass it, the p^((d-1) // 2) check of l_polynomial(..., half=True)
-    limit = DEFAULT_ENUM_BUDGET if opts.budget is None else opts.budget
+    # would pass it, the check of l_polynomial(..., half=True)
     for p in primes if cache else ():  # no rows, no keys to hash
         rec = cache.get(cache_key(fq, p, opts.char))
-        if rec is not None and p ** ((d - 1) // 2) <= limit:
+        if rec is not None and _half_l_fits(p, d, opts.budget):
             # admissible depends on this scan's hint, which the key leaves out;
             # ms is settled here, so the renderers print what the record holds
             cached[p] = replace(
                 rec, admissible=_admissible(p, hint), ms=rec.ms if opts.timing else None
             )
 
+    # Stickelberger's closed form gives every row of (x + b)^d + c; a
+    # module-level function, so --jobs workers can unpickle it
+    route = monomial_np_at_prime if ratpoly.is_shifted_monomial(fq) else np_at_prime
     compute = functools.partial(
-        scan_record, fq, char=opts.char, budget=opts.budget, hint=hint, timing=opts.timing
+        scan_record, fq, char=opts.char, budget=opts.budget, hint=hint, timing=opts.timing,
+        route=route,
     )
     todo = [p for p in primes if p not in cached]
     ordered: list[ScanRecord] = []

@@ -5,6 +5,9 @@ Run with `pytest tests/test_acceptance.py -v`.  Each test also prints an
 comparisons are exact rational/integer equality; the only tolerances are the
 stated runtime ceilings, which are asserted.
 
+C01 and C02 also compare every row of a scan of x^3 to p = 100, which the
+scan takes from Stickelberger's closed form, with np_at_prime's polygon.
+
 The final test replays every Newton polygon collected by the earlier tests
 against the Hodge lower bound and the forced endpoint, and recomputes every
 np_at_prime polygon (which comes from half of the L-polynomial and the
@@ -99,6 +102,20 @@ def primes(lo, hi):
     return [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
+_X3_SCAN = None
+
+
+def x3_scan_polygons():
+    """p -> polygon of each row of run_scan(X3, p_max=100).  The scan takes
+    them from Stickelberger's closed form; C01 and C02 compare them with
+    np_at_prime's, from half of L."""
+    global _X3_SCAN
+    if _X3_SCAN is None:
+        records, _ = run_scan(X3, ScanOptions(p_max=100))
+        _X3_SCAN = {rec.p: rec.polygon for rec in records}
+    return _X3_SCAN
+
+
 def test_c01_hodge_equality_family():
     with report("C01", "NP = HP for x^3 at p = 1 mod 3, p <= 100"):
         t0 = time.perf_counter()
@@ -106,8 +123,9 @@ def test_c01_hodge_equality_family():
         assert hp3.vertices == ((F(0), F(0)), (F(1), F(1, 3)), (F(2), F(1)))
         ps = [p for p in primes(2, 100) if p % 3 == 1]
         assert ps == [7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97]
+        scanned = x3_scan_polygons()
         for p in ps:
-            assert note_np(X3, p) == hp3, p
+            assert scanned[p] == note_np(X3, p) == hp3, p
         assert time.perf_counter() - t0 < 10.0
 
 
@@ -118,9 +136,13 @@ def test_c02_gap_bound_at_inert_primes():
         hp3 = hodge_polygon(3)
         ps = [p for p in primes(5, 100) if p % 3 == 2]
         assert ps == [5, 11, 17, 23, 29, 41, 47, 53, 59, 71, 83, 89]
+        scanned = x3_scan_polygons()
+        # the scan's other rows: p = 2 here, p = 1 mod 3 in C01
+        assert set(scanned) == {2, *ps, *(p for p in primes(2, 100) if p % 3 == 1)}
+        assert scanned[2] == note_np(X3, 2) == expected
         for p in ps:
             poly = note_np(X3, p)
-            assert poly == expected, p
+            assert scanned[p] == poly == expected, p
             assert poly.slope_multiset() == ((F(1, 2), F(2)),), p
             assert vertical_gap(poly, hp3) == F(1, 6), p
         assert time.perf_counter() - t0 < 10.0

@@ -26,8 +26,10 @@ from npscan.fields import DEFAULT_ENUM_BUDGET, build_field
 from npscan.lfunction import (
     Character,
     LPolynomial,
+    check_half_l_budget,
     exp_sum,
     l_polynomial,
+    monomial_polygon,
     newton_polygon,
     np_at_prime,
     np_base_change_check,
@@ -261,6 +263,56 @@ def test_stickelberger_oracle_sanity():
     assert stickelberger_polygon(3, 10009) == hodge_polygon(3)
     for d, p in ((3, 5), (3, 7), (5, 11), (5, 7), (4, 7), (7, 5)):
         assert np_at_prime(Q(*[0] * d, 1), p) == stickelberger_polygon(d, p), (d, p)
+
+
+@pytest.mark.parametrize(
+    "d,p",
+    [
+        (3, 10007), (3, 10009), (4, 503), (4, 509), (4, 10007), (4, 10009),
+        (5, 211), (5, 223), (5, 227), (5, 229), (5, 2011),
+    ],
+)
+def test_monomial_polygon_matches_np_and_stickelberger(d, p):
+    """The closed form that scan rows take, at the oracle's primes."""
+    assert monomial_polygon(d, p) == np_at_prime(Q(*[0] * d, 1), p) == stickelberger_polygon(d, p)
+
+
+def test_monomial_polygon_edges():
+    assert monomial_polygon(1, 7).vertices == ((0, 0),)
+    assert monomial_polygon(2, 2 * 10**9 + 11) == hodge_polygon(2)
+    assert monomial_polygon(7, 2) == stickelberger_polygon(7, 2)  # r = 3
+    with pytest.raises(DegreeCharClash):
+        monomial_polygon(6, 3)
+    with pytest.raises(ValueError):
+        monomial_polygon(0, 5)
+
+
+def test_half_l_budget_precheck_refuses_what_half_l_refuses():
+    """The closed-form scan rows and the scan cache apply this check: it
+    must refuse exactly what l_polynomial(half=True) refuses, with the same
+    message (the first m with q^m over the budget)."""
+    def refusal(call):
+        try:
+            call()
+        except BudgetExceeded as exc:
+            return str(exc)
+        return None
+
+    fbar = reduce_mod_p(Q(0, 0, 0, 0, 0, 1), 11)  # d = 5: F_11 and F_121
+    outcomes = []
+    for budget in (0, 10, 11, 120, 121, None):
+        pre = refusal(lambda: check_half_l_budget(11, 5, budget))
+        assert pre == refusal(lambda: l_polynomial(fbar, budget=budget, half=True)), budget
+        outcomes.append(pre)
+    assert outcomes == [
+        "enumeration of 11 elements exceeds budget 0",
+        "enumeration of 11 elements exceeds budget 10",
+        "enumeration of 121 elements exceeds budget 11",
+        "enumeration of 121 elements exceeds budget 120",
+        None,
+        None,
+    ]
+    check_half_l_budget(10**9 + 7, 2, budget=0)  # d <= 2 enumerates nothing
 
 
 def test_l_coefficients_are_galois_conjugates():

@@ -21,7 +21,7 @@ from npscan.cli import main, parse_poly
 from npscan.cyclotomic import CycInt
 from npscan.dickson import DicksonSpec, dickson
 from npscan.errors import InvariantViolation, MissingOrigin
-from npscan.polygons import lower_hull
+from npscan.polygons import hodge_polygon, lower_hull
 from npscan.scan import (
     CACHE_VERSION,
     VERDICT_NO_WITNESS,
@@ -350,6 +350,78 @@ def test_cache_replay_recomputes_admissible(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# rows of a shifted monomial (x + b)^d + c, taken from Stickelberger's closed form
+
+
+def shifted_monomial(d, b, c):
+    xd = ratpoly.poly_pow(ratpoly.X, d)
+    return ratpoly.poly_add(ratpoly.poly_shift(xd, b), ratpoly.constant(c))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_shifted_monomial_scan_rows_equal_np_rows(d):
+    """Each closed-form scan row is the row np computes from half of L."""
+    for b, c in ((0, 0), (1, 2), (F(-3, 2), F(5, 7))):
+        f = shifted_monomial(d, b, c)
+        assert ratpoly.is_shifted_monomial(f)
+        records, _ = run_scan(f, ScanOptions(p_max=60, timing=False, auto_hint=False))
+        assert [rec.p for rec in records] == good_places(f, 60)
+        for rec in records:
+            assert rec.error is None
+            want = record_to_row(scan_record(f, rec.p, timing=False))
+            assert record_to_row(rec) == want, (d, b, c, rec.p)
+
+
+@pytest.mark.parametrize(
+    "f", [(F(0), F(1), F(0), F(1)), dickson(5, F(1)), (F(0), F(0), F(1), F(0), F(1))],
+    ids=["x^3+x", "D_5(x,1)", "x^4+x^2"],
+)
+def test_scan_of_a_non_monomial_takes_half_of_l(monkeypatch, f):
+    assert not ratpoly.is_shifted_monomial(f)
+
+    def refuse(*args):
+        raise AssertionError("closed form used for a non-monomial")
+
+    monkeypatch.setattr(scan_module, "monomial_np_at_prime", refuse)
+    records, _ = run_scan(f, ScanOptions(p_max=13, timing=False))
+    assert records and all(rec.polygon is not None for rec in records)
+
+
+def test_monomial_scan_prints_the_half_l_bytes(tmp_path, capsys):
+    """sha256 of scan x^3 --p-max 60 as printed when every row came from half
+    of L, under --jobs, a cache replay and a budget that refuses 13 rows."""
+    plain = "f31796da9719d5633037f38cfa953741c4d042c188d060e81d4dd52beebec890"
+    refused = "63b0160f2ba00c69a04b91b34b45f84ead55fac34c7f4544ff9376f208b089fb"
+    base = ["scan", "x^3", "--p-max", "60", "--no-timing"]
+    cache = ["--cache", str(tmp_path / "c.jsonl")]
+    budget = ["--budget", "10"]
+    runs = [
+        (base, plain),
+        (base + ["--jobs", "2"], plain),
+        (base + cache, plain),
+        (base + cache, plain),  # every row replayed
+        (base + cache + budget, refused),  # 13 replays refused by the budget
+        (base + budget, refused),
+    ]
+    for argv, digest in runs:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr()
+        assert hashlib.sha256(out.out.encode()).hexdigest() == digest, argv
+        n_errors = 13 if digest == refused else 0
+        assert f"errors={n_errors}" in out.err
+        assert sum(1 for row in out.out.splitlines()[1:] if ",1,3,,," in row) == n_errors
+    assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 16
+
+
+def test_closed_form_rows_are_validated(monkeypatch):
+    """A wrong closed form fails the scan's theorem checks: the Hodge polygon
+    at the admissible prime 5 lacks the repeated slope."""
+    monkeypatch.setattr(scan_module, "monomial_polygon", lambda d, p: hodge_polygon(d))
+    with pytest.raises(InvariantViolation, match="p = 5 is admissible"):
+        run_scan(X3, ScanOptions(p_max=30))
+
+
+# ---------------------------------------------------------------------------
 # polynomial parsing
 
 
@@ -598,3 +670,15 @@ def test_cli_crosscheck_linear_polynomial_skips_dickson_checks(capsys, poly, p):
 def test_cli_np_checks_p_is_prime_first(capsys, p):
     assert main(["np", "x^3", p]) == 2
     assert capsys.readouterr() == ("", f"error: {p} is not prime\n")
+
+
+def test_cli_crosscheck_checks_the_closed_form(monkeypatch, capsys):
+    """For a shifted monomial the character-independence line also holds the
+    closed form of scan rows to the full L."""
+    assert main(["crosscheck", "x^3", "5"]) == 0
+    assert "character-independence  pass" in capsys.readouterr().out
+    monkeypatch.setattr(cli_module, "monomial_polygon", lambda d, p: hodge_polygon(d))
+    assert main(["crosscheck", "x^3", "5"]) == 4
+    out = capsys.readouterr()
+    assert "character-independence  FAIL" in out.out.splitlines()
+    assert "invariant violation" in out.err
