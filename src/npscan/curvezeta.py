@@ -24,7 +24,7 @@ from . import ratpoly
 from .cyclotomic import CycInt, as_rational_integer, int_valuation, poly_mul
 from .errors import DegreeCharClash, InternalDivisibility
 from .fields import FieldPolynomial, check_enum_budget
-from .lfunction import Character, l_polynomial, newton_polygon, trace_counts
+from .lfunction import Character, _newton_sum, l_polynomial, newton_polygon, trace_counts
 from .polygons import ConvexPolygon, lower_hull
 
 
@@ -50,14 +50,11 @@ def p1_polynomial(gbar: FieldPolynomial, budget: int | None = None) -> tuple[int
     if genus == 0:
         return (1,)
     check_enum_budget(q**genus, budget)
-    power_sums = []
-    for m in range(1, genus + 1):
-        n_m = count_curve_points(gbar, m, budget)
-        power_sums.append(1 + q**m - n_m)
+    # P_1 = prod_c L(chi_c), so its power sums are sum_c S_m(chi_c) = N_m - 1 - q^m
+    sums = [count_curve_points(gbar, m, budget) - 1 - q**m for m in range(1, genus + 1)]
     b = [1]
     for k in range(1, genus + 1):
-        acc = sum(power_sums[j - 1] * b[k - j] for j in range(1, k + 1))
-        quo, rem = divmod(-acc, k)
+        quo, rem = divmod(_newton_sum(sums, b), k)
         if rem:
             raise InternalDivisibility(f"coefficient b_{k} is not integral")
         b.append(quo)
@@ -69,11 +66,10 @@ def p1_polynomial(gbar: FieldPolynomial, budget: int | None = None) -> tuple[int
 
 def implied_power_sums(b: Sequence[int], upto: int) -> list[int]:
     """Power sums of the reciprocal roots of sum b_k t^k, via Newton's identities."""
+    b = list(b) + [0] * upto
     sums: list[int] = []
-    for k in range(1, upto + 1):
-        acc = sum(sums[j - 1] * (b[k - j] if k - j < len(b) else 0) for j in range(1, k))
-        bk = b[k] if k < len(b) else 0
-        sums.append(-k * bk - acc)
+    for k in range(1, upto + 1):  # k b_k = -sum_{j<=k} s_j b_(k-j), solved for s_k
+        sums.append(-k * b[k] - _newton_sum(sums + [0], b[:k]))
     return sums
 
 

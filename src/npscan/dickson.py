@@ -137,28 +137,15 @@ def is_admissible(p: int, a, n: int) -> AdmissibleTriple:
     return AdmissibleTriple(p, a, n, p_integral, p_coprime, permutes)
 
 
-def gpp_over_q(n: int, a, confirm_bound: int | None = None) -> bool:
+def gpp_over_q(n: int, a) -> bool:
     """Is D_n(x, a) a permutation of F_p for infinitely many primes p?
 
     Criterion: n odd when a = 0, gcd(n, 6) = 1 when a != 0 (n = 1 is always
-    true).  With confirm_bound set, a positive verdict for n > 1 is double
-    checked by scanning primes up to the bound for an admissible witness.
+    true).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = Fraction(a)
-    verdict = (n % 2 == 1) if a == 0 else math.gcd(n, 6) == 1
-    if verdict and confirm_bound is not None and n > 1:
-        witness = any(
-            is_admissible(p, a, n).admissible
-            for p in range(2, confirm_bound + 1)
-            if is_prime(p)
-        )
-        if not witness:
-            raise InvariantViolation(
-                f"no admissible witness prime <= {confirm_bound} for (n, a) = ({n}, {a})"
-            )
-    return verdict
+    return n % 2 == 1 if Fraction(a) == 0 else math.gcd(n, 6) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +312,8 @@ def find_dickson_factor(f, require_gpp: bool = False) -> DicksonFactorisation | 
             continue
         if require_gpp and not gpp_over_q(form.n, form.a):
             continue
-        left: QPoly = X
-        for fac in chain.factors[:i]:
-            left = poly_compose(left, fac)
-        right: QPoly = X
-        for fac in chain.factors[i + 1 :]:
-            right = poly_compose(right, fac)
+        left = CompositionChain(chain.factors[:i]).recompose()
+        right = CompositionChain(chain.factors[i + 1 :]).recompose()
         outer = poly_shift(left, form.constant)
         inner = poly_add(right, constant(form.shift))
         recomposed = poly_compose(poly_compose(outer, dickson(form.n, form.a)), inner)

@@ -76,20 +76,16 @@ _INT64_SAFE = 1 << 62  # Horner's int64 entries stay below this
 _FLOAT64_EXACT = 1 << 53  # float64 sums of integers below this are exact
 
 
-@functools.lru_cache(maxsize=64)
 def _q_limit(e: int, terms: int, ceiling: int) -> int:
     """Largest q = P^e whose sums stay below ceiling: a sum of `terms`
     products of a row of reduced digits and an e x e matrix of them, plus
-    one reduced digit."""
-
-    def worst(p: int) -> int:
-        return terms * e * (p - 1) ** 2 + (p - 1)
-
-    lo, hi = 2, 2**32  # worst(lo) < ceiling <= worst(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if worst(mid) < ceiling else (lo, mid)
-    return lo**e
+    one reduced digit, at most k x^2 + x for k = terms * e and x = P - 1.
+    The square root bounds x from above: k (x+1)^2 > ceiling."""
+    k = terms * e
+    x = math.isqrt(ceiling // k)
+    while k * x * x + x >= ceiling:
+        x -= 1
+    return (x + 1) ** e
 
 
 def _element_block(field: FiniteField, start: int, stop: int) -> np.ndarray:
@@ -388,20 +384,31 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
     return hist.tolist()
 
 
+def _code_blocks(fbar: FieldPolynomial) -> Iterator[tuple[int, np.ndarray]]:
+    """eval_blocks with each value encoded as the integer sum_i c_i p^i < q."""
+    field = fbar.field
+    blocks = eval_blocks(fbar)
+    weights = np.array([field.p**i for i in range(field.e)], dtype=np.int64)
+    return ((start, V @ weights) for start, V in blocks)
+
+
 def value_codes(fbar: FieldPolynomial) -> np.ndarray:
     """f(x) for every x, encoded as integers sum_i c_i p^i (fits in int64)."""
-    field = fbar.field
-    blocks = eval_blocks(fbar)  # checks the int64 bound before allocating
-    weights = np.array([field.p**i for i in range(field.e)], dtype=np.int64)
-    out = np.empty(field.q, dtype=np.int64)
-    for start, V in blocks:
-        out[start : start + V.shape[0]] = V @ weights
+    blocks = _code_blocks(fbar)  # checks the int64 bound before allocating
+    out = np.empty(fbar.field.q, dtype=np.int64)
+    for start, codes in blocks:
+        out[start : start + codes.size] = codes
     return out
 
 
 def distinct_value_count(fbar: FieldPolynomial) -> int:
-    """Size of the image of fbar on its whole field."""
-    return int(np.unique(value_codes(fbar)).size)
+    """Size of the image of fbar on its whole field: one byte per element
+    flags the values seen, block by block, with no table of codes to sort."""
+    blocks = _code_blocks(fbar)  # checks the int64 bound before allocating
+    seen = np.zeros(fbar.field.q, dtype=bool)
+    for _, codes in blocks:
+        seen[codes] = True
+    return int(np.count_nonzero(seen))
 
 
 def find_first_root(field: FiniteField, int_coeffs: tuple[int, ...]) -> int:

@@ -85,10 +85,6 @@ class LPolynomial:
         if len(self.coeffs) not in (self.degree + 1, self.degree // 2 + 1):
             raise ValueError("coeffs must run to a_degree or to a_(degree // 2)")
 
-    @property
-    def q(self) -> int:
-        return self.p**self.h
-
 
 # Different (fbar, m) can push to one polynomial: base change asks for fext
 # over F_{q^n} at m, the base L for fbar at n m, and both push F_p
@@ -125,8 +121,9 @@ def exp_sum(fbar: FieldPolynomial, m: int, chi: Character, budget: int | None = 
     return CycInt.from_root_counts(p, counts)
 
 
-def _newton_sum(sums: Sequence[CycInt], coeffs: Sequence[CycInt]) -> CycInt:
-    """sum_{j=1..k} S_j a_(k-j) for k = len(coeffs): k times the next a_k.
+def _newton_sum(sums: Sequence, coeffs: Sequence):
+    """sum_{j=1..k} S_j a_(k-j) for k = len(coeffs): k times the next a_k,
+    in Z[zeta_p] here and in Z for curvezeta's P_1.
 
     a_0 = 1, so the sum starts from its j = k term S_k and multiplies only
     for j < k: none for a_1, one for a_2."""
@@ -141,18 +138,16 @@ def l_polynomial(
     fbar: FieldPolynomial,
     chi: Character | None = None,
     budget: int | None = None,
-    verify: bool = False,
     half: bool = False,
 ) -> LPolynomial:
     """The degree-(d-1) polynomial L(fbar, chi, t) over Z[zeta_p].
 
     Requires gcd(d, p) = 1; chi defaults to chi_1.  With half=True the
     recurrence stops at a_K, K = (d-1) // 2, so only S_1..S_K are
-    enumerated.  With verify=True (full L only), S_d is also computed and
-    the recurrence is run one step further, which must give a_d = 0.
+    enumerated.
 
-    The full L is memoized per (fbar, chi, verify): crosscheck asks for the
-    same L in several checks.  The budget is checked before the lookup and
+    The full L is memoized per (fbar, chi): crosscheck asks for the same L
+    in several checks.  The budget is checked before the lookup and
     raises what a cold call raises, so a cached L is never returned under a
     budget that refuses it.
     """
@@ -162,18 +157,16 @@ def l_polynomial(
         raise ValueError("fbar must be nonconstant")
     if math.gcd(d, p) != 1:
         raise DegreeCharClash(f"gcd(d, p) = gcd({d}, {p}) != 1")
-    if verify and half:
-        raise ValueError("verify needs the full L-polynomial")
     if chi is None:
         chi = Character(p, 1)
     if chi.p != p:
         raise CharacteristicMismatch(f"character mod {chi.p} vs field of characteristic {p}")
     if half:
         check_half_l_budget(field.q, d, budget)
-        return _l_recurrence(fbar, chi, (d - 1) // 2, verify)
-    for m in range(1, d + 1 if verify else d):
+        return _l_recurrence(fbar, chi, (d - 1) // 2)
+    for m in range(1, d):
         check_enum_budget(field.q**m, budget)
-    return _full_l_polynomial(fbar, chi, verify)
+    return _full_l_polynomial(fbar, chi)
 
 
 def check_half_l_budget(q: int, d: int, budget: int | None = None) -> None:
@@ -186,7 +179,7 @@ def check_half_l_budget(q: int, d: int, budget: int | None = None) -> None:
         check_enum_budget(q**m, budget)
 
 
-def _l_recurrence(fbar: FieldPolynomial, chi: Character, upto: int, verify: bool) -> LPolynomial:
+def _l_recurrence(fbar: FieldPolynomial, chi: Character, upto: int) -> LPolynomial:
     """a_0..a_upto from S_1..S_upto.  The caller has checked the budget, so
     the sums run under none."""
     field = fbar.field
@@ -200,18 +193,14 @@ def _l_recurrence(fbar: FieldPolynomial, chi: Character, upto: int, verify: bool
             raise InternalDivisibility(f"coefficient a_{k} is not integral") from exc
     if upto == d - 1 and d > 1 and coeffs[d - 1].is_zero():
         raise InvariantViolation("leading coefficient a_(d-1) vanished")
-    if verify:
-        sums.append(exp_sum(fbar, d, chi, math.inf))
-        if not _newton_sum(sums, coeffs).is_zero():
-            raise InvariantViolation("S_d is inconsistent with the L-coefficients")
     return LPolynomial(p, field.e, d - 1, tuple(coeffs))
 
 
 # Each entry holds d (p - 1) integers.  A scan computes each half L once,
 # so only the full L, which crosscheck reuses, is kept.
 @functools.lru_cache(maxsize=64)
-def _full_l_polynomial(fbar: FieldPolynomial, chi: Character, verify: bool) -> LPolynomial:
-    return _l_recurrence(fbar, chi, fbar.degree - 1, verify)
+def _full_l_polynomial(fbar: FieldPolynomial, chi: Character) -> LPolynomial:
+    return _l_recurrence(fbar, chi, fbar.degree - 1)
 
 
 def newton_polygon(lpoly: LPolynomial) -> ConvexPolygon:

@@ -131,7 +131,7 @@ def to_strings(f: Sequence[Fraction]) -> list[str]:
     return [f"{c.numerator}/{c.denominator}" for c in f]
 
 
-def format_poly(f: QPoly, var: str = "x") -> str:
+def format_poly(f: QPoly) -> str:
     if not f:
         return "0"
     parts = []
@@ -144,7 +144,7 @@ def format_poly(f: QPoly, var: str = "x") -> str:
         else:
             mag = abs(c)
             coef = "" if mag == 1 else f"{mag}*"
-            xpow = var if k == 1 else f"{var}^{k}"
+            xpow = "x" if k == 1 else f"x^{k}"
             term = f"{coef}{xpow}"
             if c < 0:
                 term = f"- {term}" if parts else f"-{term}"

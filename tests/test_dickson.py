@@ -25,7 +25,7 @@ from npscan.dickson import (
     recognize_dickson,
 )
 from npscan.errors import BudgetExceeded, NotPrime
-from npscan.fields import build_field
+from npscan.fields import build_field, is_prime
 from npscan.lfunction import reduce_mod_p
 from npscan import ratpoly
 
@@ -159,7 +159,8 @@ def test_gpp_over_q():
     assert not gpp_over_q(3, F(1))  # gcd(3, 6) != 1
     assert gpp_over_q(5, F(1))
     assert gpp_over_q(7, F(1, 2))
-    assert gpp_over_q(5, F(1), confirm_bound=100)
+    # a positive verdict has admissible witnesses: one below 100 for (5, 1)
+    assert any(is_admissible(p, F(1), 5).admissible for p in range(2, 101) if is_prime(p))
 
 
 def test_decompose_powers():

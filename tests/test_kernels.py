@@ -117,6 +117,25 @@ def test_trace_histogram_route_above_cutoff(monkeypatch, p, e, route):
     assert kernels.trace_histogram(f) == expected
 
 
+def bisected_q_limit(e, terms, ceiling):
+    """The largest P^e with terms e (P-1)^2 + (P-1) < ceiling, by bisection
+    over [2, 2^32): the oracle for _q_limit's closed form."""
+    lo, hi = 2, 2**32
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        worst = terms * e * (mid - 1) ** 2 + (mid - 1)
+        lo, hi = (mid, hi) if worst < ceiling else (lo, mid)
+    return lo**e
+
+
+def test_q_limit_matches_bisection():
+    for ceiling in (1 << 62, 1 << 53, 1 << 24, 1 << 16):
+        for e in range(1, 41):
+            for terms in range(1, 21):
+                expected = bisected_q_limit(e, terms, ceiling)
+                assert kernels._q_limit(e, terms, ceiling) == expected, (e, terms, ceiling)
+
+
 @pytest.mark.parametrize(
     "p,coeffs,terms",
     [(67108879, [0, 0, 1], 1), (38745323, [0, 1, 0, 1, 0, 1], 3)],
@@ -315,6 +334,24 @@ def test_find_generator_is_smallest_by_prime_factors(p, e):
     g = kernels._find_generator(F)
     k = sum(c * p**i for i, c in enumerate(g.coeffs))
     assert full(g) and not any(full(F.from_index(j)) for j in range(1, k))
+
+
+def test_distinct_value_count_peaks_below_8_bytes_per_element():
+    """The image is counted with one flag byte per element, set block by
+    block: no q-long table of int64 codes is built or sorted.  x^2 + x is
+    a square minus 1/4 in odd characteristic, so its image holds (q+1)/2
+    elements."""
+    F = build_field(1009, 2)
+    f = F.poly([0, 1, 1])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        count = kernels.distinct_value_count(f)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert count == (F.q + 1) // 2
+    assert peak < 8 * F.q
 
 
 def test_element_block_matches_from_index():

@@ -103,7 +103,7 @@ def test_exp_sum_rejects_wrong_characteristic():
 
 def test_l_polynomial_x2_f3_frozen():
     fbar = reduce_mod_p(X2, 3)
-    L = l_polynomial(fbar, verify=True)
+    L = l_polynomial(fbar)
     assert L.degree == 1
     assert L.coeffs == (CycInt.one(3), CycInt(3, (1, 2)))
     poly = newton_polygon(L)
@@ -111,8 +111,14 @@ def test_l_polynomial_x2_f3_frozen():
 
 
 def test_l_polynomial_verify_runs_extra_step():
+    """One step past a_(d-1), Newton's identity with S_d gives a_d = 0."""
     fbar = reduce_mod_p(X3, 5)
-    assert l_polynomial(fbar, verify=True).degree == 2
+    chi = Character(5, 1)
+    L = l_polynomial(fbar, chi)
+    assert L.degree == 2
+    sums = [exp_sum(fbar, m, chi) for m in (1, 2, 3)]
+    assert lfunction._newton_sum(sums, L.coeffs).is_zero()
+    assert not lfunction._newton_sum(sums[:2] + [sums[2] + CycInt.one(5)], L.coeffs).is_zero()
 
 
 def test_np_x3_at_7_is_hodge():
@@ -193,6 +199,20 @@ def test_half_l_polygon_matches_full_path(p, h, d):
             assert half_np(fbar, chi) == full, (fbar, c)
 
 
+@pytest.mark.parametrize(
+    "p,h,d", [(p, h, d) for p, h, d in _half_l_cells() if p ** (h * d) <= 10**6]
+)
+def test_full_l_satisfies_newton_identity_at_s_d(p, h, d):
+    """L has degree d - 1, so a_d = 0: sum_{j<=d} S_j a_(d-j) vanishes."""
+    rng = random.Random(f"s-d-{p}-{h}-{d}")
+    field = build_field(p, h)
+    coeffs = [rng.randrange(field.q) for _ in range(d)] + [rng.randrange(1, field.q)]
+    fbar = field.poly([field.from_index(k) for k in coeffs])
+    chi = Character(p, rng.randrange(1, p))
+    sums = [exp_sum(fbar, m, chi) for m in range(1, d + 1)]
+    assert lfunction._newton_sum(sums, l_polynomial(fbar, chi).coeffs).is_zero()
+
+
 def test_half_l_enumerates_only_up_to_q_to_the_k():
     # D_5-like quintic over F_11: K = 2, so F_{11^2} is the largest field
     fbar = reduce_mod_p(Q(0, 5, 0, -5, 0, 1), 11)
@@ -214,8 +234,6 @@ def test_half_l_input_validation():
     with pytest.raises(ValueError):
         half_np(build_field(3, 1).poly([1]))
     fbar = reduce_mod_p(Q(0, 5, 0, -5, 0, 1), 11)
-    with pytest.raises(ValueError):
-        l_polynomial(fbar, verify=True, half=True)
     half, full = l_polynomial(fbar, half=True), l_polynomial(fbar)
     assert half.degree == full.degree == 4
     assert half.coeffs == full.coeffs[:3]
@@ -357,14 +375,13 @@ def test_full_l_polynomial_is_shared():
     full = l_polynomial(fbar)
     assert l_polynomial(fbar, Character(5, 1), budget=10**6) is full
     assert l_polynomial(fbar, Character(5, 2)) is not full
-    assert l_polynomial(fbar, verify=True) == full
 
 
 def test_cached_l_polynomial_is_refused_by_a_smaller_budget():
     """A memoized L raises the cold call's BudgetExceeded: the first m with
-    q^m over the budget, S_d included under verify."""
-    fbar = reduce_mod_p(X3, 5)  # full L enumerates F_5 and F_25, verify also F_125
-    cases = [({"budget": 24}, 25), ({"budget": 4}, 5), ({"budget": 124, "verify": True}, 125)]
+    q^m over the budget."""
+    fbar = reduce_mod_p(X3, 5)  # full L enumerates F_5 and F_25
+    cases = [({"budget": 24}, 25), ({"budget": 4}, 5)]
     cold = {}
     lfunction._full_l_polynomial.cache_clear()
     for kwargs, size in cases:
@@ -372,28 +389,12 @@ def test_cached_l_polynomial_is_refused_by_a_smaller_budget():
             l_polynomial(fbar, **kwargs)
         cold[size] = str(exc.value)
     l_polynomial(fbar, budget=10**6)
-    l_polynomial(fbar, budget=10**6, verify=True)
     for kwargs, size in cases:
         with pytest.raises(BudgetExceeded) as exc:
             l_polynomial(fbar, **kwargs)
         assert str(exc.value) == cold[size] == (
             f"enumeration of {size} elements exceeds budget {kwargs['budget']}"
         )
-
-
-def test_verify_is_not_answered_by_an_unverified_cached_l(monkeypatch):
-    fbar = reduce_mod_p(X3, 7)
-    lfunction._full_l_polynomial.cache_clear()
-    l_polynomial(fbar)  # cached without the S_d step
-    exact = lfunction.exp_sum
-
-    def corrupted(fbar, m, chi, budget=None):
-        s = exact(fbar, m, chi, budget)
-        return s + CycInt.one(s.p) if m == 3 else s
-
-    monkeypatch.setattr(lfunction, "exp_sum", corrupted)
-    with pytest.raises(InvariantViolation):
-        l_polynomial(fbar, verify=True)
 
 
 def test_budget_enforced_even_after_caching():

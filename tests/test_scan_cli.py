@@ -443,13 +443,23 @@ def test_parse_poly_rejects_garbage():
 
 
 # sha256 of stdout of the benchmark's scans (perfbench/workloads.py),
-# taken before polygons.py moved to its integer form
+# taken before polygons.py moved to its integer form.  x^3 is a monomial,
+# so its rows come from the closed form; x^3 + x is none, and its rows
+# keep the pi-adic valuation and the F_p histograms at scan scale.
 @pytest.mark.parametrize(
     "args, digest",
     [
         (
             ["scan", "x^3", "--p-max", "300", "--no-timing"],
             "69c352fbcd6f068807cbbdde13b2121de15e94c23bd1f48fc33e959e217c78a6",
+        ),
+        (
+            ["scan", "x^3+x", "--p-max", "300", "--no-timing"],
+            "75b529921d31d79f0ee95c0379c4b5b9857f5d181ea1ba0832e69a1e2eb91602",
+        ),
+        (
+            ["scan", "x^3+x", "--p-max", "300", "--no-timing", "--format", "json"],
+            "b8e4f3158c8b4ec9e65b0a89e2ad45d82204cd9b500e113f0d2a7ce7ac960e30",
         ),
         (
             ["scan", "dickson(5,1)", "--p-max", "47", "--no-timing"],
@@ -460,7 +470,7 @@ def test_parse_poly_rejects_garbage():
             "acd6c8dd8b8bf40711d51073b98e63b36355745750b44567d64ea52d0bb20a10",
         ),
     ],
-    ids=["scan-x3-csv", "scan-d5-csv", "scan-x3-json"],
+    ids=["scan-x3-csv", "scan-x3x-csv", "scan-x3x-json", "scan-d5-csv", "scan-x3-json"],
 )
 def test_benchmark_scan_stdout_digest(capsys, args, digest):
     assert main(args) == 0
