@@ -11,8 +11,9 @@ Subcommands:
   decompose  functional decomposition of a monic polynomial over Q.
   zeta       zeta numerator P_1 of the curve y^p - y = g(x) over F_{p^e}.
 
-Exit codes: 0 success, 2 bad input or bad place, 3 enumeration budget
-exceeded, 4 a theorem-backed check failed on computed data.
+Exit codes: 0 success, 2 bad input, bad place or unusable --cache path,
+3 enumeration budget exceeded, 4 a theorem-backed check failed on
+computed data.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .curvezeta import (
     slope_length_relation_check,
 )
 from .dickson import (
+    DicksonSpec,
     dickson,
     dickson_perm_criterion,
     decompose,
@@ -70,56 +72,34 @@ def parse_poly(text: str) -> ratpoly.QPoly:
 
 def _parse_expression(text: str) -> ratpoly.QPoly:
     s = text.replace(" ", "")
-    terms: list[tuple[int, str]] = []
-    sign, cur, depth = 1, "", 0
-    pending_sign = False
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            if pending_sign and not cur:
-                raise ValueError(f"dangling sign in {text!r}")
-            if cur:
-                terms.append((sign, cur))
-                cur = ""
-            sign = 1 if ch == "+" else -1
-            pending_sign = True
-            continue
-        cur += ch
-    if depth != 0:
+    if s.count("(") != s.count(")"):
         raise ValueError(f"unbalanced parentheses in {text!r}")
-    if cur:
-        terms.append((sign, cur))
-    elif pending_sign:
-        raise ValueError(f"dangling sign in {text!r}")
-    if not terms:
-        raise ValueError(f"cannot parse polynomial {text!r}")
+    if not s.startswith(("+", "-")):
+        s = "+" + s
+    # split at every sign but one after a comma, dickson's a as in dickson(3,-2)
+    pieces = re.split(r"(?<!,)([+-])", s)  # "", sign, term, sign, term, ...
     total: ratpoly.QPoly = ()
-    for sign, term in terms:
-        m = _DICKSON_RE.match(term)
-        if m:
-            part = dickson(int(m.group(1)), Fraction(m.group(2)))
-        else:
-            m = _MONOMIAL_RE.match(term)
-            if not m or (m.group(1) is None and m.group(2) is None):
-                raise ValueError(f"cannot parse term {term!r} in {text!r}")
-            coef = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-            if m.group(2) is None:
-                k = 0
-            elif m.group(3) is None:
-                k = 1
-            else:
-                k = int(m.group(3))
-            part = ratpoly.poly_scale(ratpoly.poly_pow(ratpoly.X, k), coef)
-        total = ratpoly.poly_add(total, ratpoly.poly_scale(part, sign))
+    for sign, term in zip(pieces[1::2], pieces[2::2]):
+        if not term:
+            raise ValueError(f"dangling sign in {text!r}")
+        add = ratpoly.poly_sub if sign == "-" else ratpoly.poly_add
+        total = add(total, _parse_term(term, text))
     return total
 
 
-def _parse_hint(text: str):
-    from .dickson import DicksonSpec
+def _parse_term(term: str, text: str) -> ratpoly.QPoly:
+    m = _DICKSON_RE.match(term)
+    if m:
+        return dickson(int(m.group(1)), Fraction(m.group(2)))
+    m = _MONOMIAL_RE.match(term)
+    if not m or (m.group(1) is None and m.group(2) is None):
+        raise ValueError(f"cannot parse term {term!r} in {text!r}")
+    coef = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+    k = 0 if m.group(2) is None else int(m.group(3) or 1)
+    return ratpoly.as_poly([0] * k + [coef])
 
+
+def _parse_hint(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("--dickson-hint expects 'n,a'")
@@ -411,7 +391,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
-    except (NpscanError, ValueError, ZeroDivisionError) as exc:
+    except (NpscanError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

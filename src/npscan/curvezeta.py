@@ -64,15 +64,6 @@ def p1_polynomial(gbar: FieldPolynomial, budget: int | None = None) -> tuple[int
     return tuple(b)
 
 
-def implied_power_sums(b: Sequence[int], upto: int) -> list[int]:
-    """Power sums of the reciprocal roots of sum b_k t^k, via Newton's identities."""
-    b = list(b) + [0] * upto
-    sums: list[int] = []
-    for k in range(1, upto + 1):  # k b_k = -sum_{j<=k} s_j b_(k-j), solved for s_k
-        sums.append(-k * b[k] - _newton_sum(sums + [0], b[:k]))
-    return sums
-
-
 def curve_newton_polygon(b: Sequence[int], p: int, h: int) -> ConvexPolygon:
     """q-adic Newton polygon of an integer polynomial, q = p^h."""
     points = [

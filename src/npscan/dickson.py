@@ -283,8 +283,6 @@ class DicksonSpec:
 class DicksonFactorisation:
     """f = outer o D_n(x, a) o inner, exactly, extracted from a chain."""
 
-    chain: CompositionChain
-    index: int
     form: DicksonForm
     outer: QPoly
     inner: QPoly
@@ -319,5 +317,5 @@ def find_dickson_factor(f, require_gpp: bool = False) -> DicksonFactorisation | 
         recomposed = poly_compose(poly_compose(outer, dickson(form.n, form.a)), inner)
         if recomposed != fq:
             raise InvariantViolation("Dickson factorisation failed to recompose")
-        return DicksonFactorisation(chain, i, form, outer, inner)
+        return DicksonFactorisation(form, outer, inner)
     return None

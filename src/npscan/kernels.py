@@ -384,30 +384,16 @@ def _trace_histogram_zech(fbar: FieldPolynomial) -> list[int]:
     return hist.tolist()
 
 
-def _code_blocks(fbar: FieldPolynomial) -> Iterator[tuple[int, np.ndarray]]:
-    """eval_blocks with each value encoded as the integer sum_i c_i p^i < q."""
-    field = fbar.field
-    blocks = eval_blocks(fbar)
-    weights = np.array([field.p**i for i in range(field.e)], dtype=np.int64)
-    return ((start, V @ weights) for start, V in blocks)
-
-
-def value_codes(fbar: FieldPolynomial) -> np.ndarray:
-    """f(x) for every x, encoded as integers sum_i c_i p^i (fits in int64)."""
-    blocks = _code_blocks(fbar)  # checks the int64 bound before allocating
-    out = np.empty(fbar.field.q, dtype=np.int64)
-    for start, codes in blocks:
-        out[start : start + codes.size] = codes
-    return out
-
-
 def distinct_value_count(fbar: FieldPolynomial) -> int:
-    """Size of the image of fbar on its whole field: one byte per element
-    flags the values seen, block by block, with no table of codes to sort."""
-    blocks = _code_blocks(fbar)  # checks the int64 bound before allocating
-    seen = np.zeros(fbar.field.q, dtype=bool)
-    for _, codes in blocks:
-        seen[codes] = True
+    """Size of the image of fbar on its whole field: each value is encoded
+    as the integer sum_i c_i p^i < q, and one byte per element flags the
+    values seen, block by block, with no table of codes to sort."""
+    field = fbar.field
+    blocks = eval_blocks(fbar)  # checks the int64 bound before allocating
+    weights = np.array([field.p**i for i in range(field.e)], dtype=np.int64)
+    seen = np.zeros(field.q, dtype=bool)
+    for _, V in blocks:
+        seen[V @ weights] = True
     return int(np.count_nonzero(seen))
 
 

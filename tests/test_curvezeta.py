@@ -12,14 +12,13 @@ from npscan.curvezeta import (
     count_curve_points,
     curve_newton_polygon,
     divisibility_check,
-    implied_power_sums,
     p1_polynomial,
     product_formula_check,
     slope_length_relation_check,
 )
 from npscan.errors import BudgetExceeded, DegreeCharClash
 from npscan.fields import build_field, embed
-from npscan.lfunction import reduce_mod_p
+from npscan.lfunction import _newton_sum, reduce_mod_p
 from npscan import ratpoly
 
 F = Fraction
@@ -80,6 +79,15 @@ def test_p1_shape_and_functional_equation():
 def test_genus_zero_is_trivial():
     gbar = reduce_mod_p(Q(0, 1), 3)
     assert p1_polynomial(gbar) == (1,)
+
+
+def implied_power_sums(b, upto):
+    """Power sums of the reciprocal roots of sum b_k t^k, via Newton's identities."""
+    b = list(b) + [0] * upto
+    sums = []
+    for k in range(1, upto + 1):  # k b_k = -sum_{j<=k} s_j b_(k-j), solved for s_k
+        sums.append(-k * b[k] - _newton_sum(sums + [0], b[:k]))
+    return sums
 
 
 def test_implied_power_sums_redundancy():

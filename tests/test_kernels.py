@@ -264,16 +264,17 @@ def test_histogram_total_is_field_size():
     assert sum(kernels.trace_histogram(f)) == F.q
 
 
-def test_value_codes_match_direct_eval(monkeypatch):
+def test_eval_blocks_match_direct_eval(monkeypatch):
     F = build_field(3, 2)
     f = F.poly([1, 2, 1])
-    weights = [3**i for i in range(2)]
     for chunk in (4, kernels._CHUNK):  # five blocks of two, then one block
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
-        codes = kernels.value_codes(f)
+        values = {}
+        for start, V in kernels.eval_blocks(f):
+            values.update((start + i, tuple(int(c) for c in row)) for i, row in enumerate(V))
+        assert sorted(values) == list(range(9))
         for k in range(9):
-            v = f(F.from_index(k))
-            assert codes[k] == sum(c * w for c, w in zip(v.coeffs, weights))
+            assert values[k] == f(F.from_index(k)).coeffs
 
 
 def test_distinct_value_count():
@@ -369,7 +370,7 @@ def test_int64_bound_fails_loudly():
     with pytest.raises(BudgetExceeded):
         kernels.trace_histogram(fbar)
     with pytest.raises(BudgetExceeded):
-        kernels.value_codes(fbar)
+        kernels.distinct_value_count(fbar)  # through eval_blocks' guard
     # the largest F_p inside the bound still evaluates
     assert next(kernels.eval_blocks(build_field(2147483647, 1).poly([1])))[0] == 0
 

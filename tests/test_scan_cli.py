@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from npscan import cli as cli_module, lfunction, scan as scan_module
 from npscan.cli import main, parse_poly
@@ -221,6 +222,14 @@ def test_cache_roundtrip(tmp_path):
     cache_put(path, key, rec)
     assert cache_load(path).get(key) == rec
     assert cache_load(path).get(cache_key(X3, 7, 1)) is None
+
+
+@pytest.mark.parametrize("where", ["a directory", "under a missing directory"])
+def test_unusable_cache_path_exits_2(tmp_path, capsys, where):
+    path = tmp_path if where == "a directory" else tmp_path / "missing" / "cache.jsonl"
+    assert main(["scan", "x^3", "--p-max", "20", "--cache", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cache_skips_corrupt_lines(tmp_path, capsys):
@@ -437,9 +446,54 @@ def test_parse_poly_forms():
 
 
 def test_parse_poly_rejects_garbage():
-    for bad in ("x^3 +", "x^3 + + x", "", "x^^2", "x^3 y"):
+    for bad in (
+        "x^3 +", "x^3 + + x", "", "x^^2", "x^3 y",
+        "-x+", "dickson(5,1", "dickson(5,1+2)", ")x(", "x^3 - - x",
+    ):
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+_SPACE = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def _monomial_term(draw):
+    """One of N, x, x^k, N*x^k, Nx^k, with its polynomial."""
+    n, k = draw(st.integers(0, 99)), draw(st.integers(0, 9))
+    form = draw(st.sampled_from(["N", "x", "x^k", "N*x^k", "Nx^k"]))
+    text = form.replace("N", str(n)).replace("k", str(k))
+    coef = n if "N" in form else 1
+    deg = k if "k" in form else int("x" in form)
+    return text, ratpoly.poly_scale(ratpoly.poly_pow(ratpoly.X, deg), coef)
+
+
+@st.composite
+def _dickson_term(draw):
+    n = draw(st.integers(1, 7))
+    num, den = draw(st.integers(-20, 20)), draw(st.integers(1, 9))
+    a_text = str(num) if den == 1 and draw(st.booleans()) else f"{num}/{den}"
+    return f"dickson({n},{a_text})", dickson(n, F(num, den))
+
+
+@st.composite
+def _expression(draw):
+    """A sum of terms with random signs (the first one optional) and spaces."""
+    terms = draw(st.lists(st.one_of(_monomial_term(), _dickson_term()), min_size=1, max_size=6))
+    text, total = draw(_SPACE), ()
+    for i, (term, poly) in enumerate(terms):
+        sign = draw(st.sampled_from(["", "+", "-"] if i == 0 else ["+", "-"]))
+        text += sign + draw(_SPACE) + term + draw(_SPACE)
+        total = (ratpoly.poly_sub if sign == "-" else ratpoly.poly_add)(total, poly)
+    return text, total
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expression())
+def test_parse_poly_sums_of_terms(case):
+    text, expected = case
+    assume("x" in text or "dickson" in text)  # else it reads as a coefficient list
+    assert parse_poly(text) == expected
 
 
 # sha256 of stdout of the benchmark's scans (perfbench/workloads.py),
