@@ -25,7 +25,6 @@ from .errors import InvariantViolation, NotPrime
 from .fields import (
     FieldElement,
     FieldPolynomial,
-    build_field,
     check_enum_budget,
     is_prime,
 )
@@ -36,7 +35,6 @@ from .ratpoly import (
     constant,
     degree,
     is_monic,
-    mod_p,
     poly_add,
     poly_compose,
     poly_divmod,
@@ -100,10 +98,13 @@ def dickson_perm_criterion(n: int, a: FieldElement) -> bool:
     """D_n(x, a) permutes F_q iff gcd(n, q-1) = 1 (a = 0) or gcd(n, q^2-1) = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = a.field.q
-    if a.is_zero():
-        return math.gcd(n, q - 1) == 1
-    return math.gcd(n, q * q - 1) == 1
+    return _dickson_permutes(n, a.field.q, a.is_zero())
+
+
+def _dickson_permutes(n: int, q: int, a_is_zero: bool) -> bool:
+    """The gcd rule of dickson_perm_criterion, which reads a only through
+    whether it is zero: no field needs building."""
+    return math.gcd(n, q - 1 if a_is_zero else q * q - 1) == 1
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,8 @@ def is_admissible(p: int, a, n: int) -> AdmissibleTriple:
     p_integral = a.denominator % p != 0
     p_coprime = (6 * n) % p != 0
     permutes = False
-    if p_integral:
-        permutes = dickson_perm_criterion(n, build_field(p, 1).element(mod_p(a, p)))
+    if p_integral:  # a mod p is zero iff p divides the numerator
+        permutes = _dickson_permutes(n, p, a.numerator % p == 0)
     return AdmissibleTriple(p, a, n, p_integral, p_coprime, permutes)
 
 

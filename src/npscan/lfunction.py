@@ -25,9 +25,10 @@ Without half=True, l_polynomial is the full, exact path.
 
 For f = (x + b)^d + c no field needs enumerating at all: Stickelberger's
 theorem on Gauss sums gives NP_p(f) as a function of p mod d alone, and
-monomial_polygon computes it.  Scan rows of such an f take it, after
-check_half_l_budget, the budget rule of half of L; np_at_prime, the
-full L and the crosscheck stay on the enumeration, which checks it.
+monomial_polygon computes it once per residue class.  Scan rows of such
+an f take it, after check_half_l_budget, the budget rule of half of L;
+np_at_prime, the full L and the crosscheck stay on the enumeration, which
+checks it.
 """
 
 from __future__ import annotations
@@ -234,7 +235,9 @@ def monomial_polygon(d: int, p: int) -> ConvexPolygon:
     (1/r) sum_{i<r} {p^i a / d}.  The shift x -> x - b gives
     S_m(f, chi) = chi(c)^m S_m(x^d, chi), so L(f, chi, t) = L(x^d, chi, chi(c) t)
     and the root of unity chi(c) moves no valuation: the polygon depends
-    on neither b, c nor the character.  The tests check it against
+    on neither b, c nor the character.  The slopes read p only through
+    p mod d, so the polygon is memoized per (d, p mod d): the primes of one
+    residue class share one ConvexPolygon.  The tests check it against
     np_at_prime, and crosscheck's character-independence line against the
     full L.
     """
@@ -242,6 +245,13 @@ def monomial_polygon(d: int, p: int) -> ConvexPolygon:
         raise ValueError("d must be >= 1")
     if math.gcd(d, p) != 1:
         raise DegreeCharClash(f"gcd(d, p) = gcd({d}, {p}) != 1")
+    return _residue_class_polygon(d, p % d)
+
+
+# at most d classes per d, so a scan fills a few entries
+@functools.lru_cache(maxsize=128)
+def _residue_class_polygon(d: int, p: int) -> ConvexPolygon:
+    """monomial_polygon for the residue p of a good place mod d."""
     powers = [1]  # p^i mod d for i < r
     while powers[-1] * p % d != 1 % d:
         powers.append(powers[-1] * p % d)

@@ -34,10 +34,12 @@ def _integer_form(pts: Sequence[Vertex]) -> tuple[int, list[tuple[int, int]]]:
                  for x, y in pts]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexPolygon:
     """Vertices of a lower-convex chain starting at (0, 0).  vertices is the
-    only field (eq, hash); _den and _pts, the integer form, derive from it."""
+    only field; _den and _pts, the integer form, derive from it.  The form
+    is canonical (equal vertices, equal form), so eq and hash read it
+    instead of the Fraction vertices: polygons key the scan's caches."""
 
     vertices: tuple[Vertex, ...]
 
@@ -56,6 +58,15 @@ class ConvexPolygon:
             raise ValueError("slopes must strictly increase (merge collinear points)")
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_pts", pts)
+        object.__setattr__(self, "_hash", hash((den, *pts)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ConvexPolygon):
+            return NotImplemented
+        return self._den == other._den and self._pts == other._pts
+
+    def __hash__(self):
+        return self._hash
 
     def slopes(self) -> tuple[Fraction, ...]:
         ps = self._pts
@@ -120,7 +131,7 @@ def lower_hull(points: Iterable[tuple]) -> ConvexPolygon:
     return ConvexPolygon(tuple(pt for _, pt in hull))
 
 
-@functools.lru_cache(maxsize=64)  # a scan row asks for it three times
+@functools.lru_cache(maxsize=64)
 def hodge_polygon(d: int) -> ConvexPolygon:
     """Vertices (k, k(k+1)/(2d)) for k = 0..d-1: slope k/d with length 1 each."""
     if d < 1:

@@ -15,14 +15,19 @@ counts it.
 NP_p(f) comes from half of the L-polynomial (np_at_prime), except when f
 is a shifted monomial (x + b)^d + c: then every row takes Stickelberger's
 closed form (monomial_polygon) after the same budget check, and gives the
-same bytes with no field enumerated.
+same bytes with no field enumerated.  The closed form reads p only mod d,
+so the rows of one residue class share one polygon.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 this module is the only one that writes a record or reads one back.  An
 append-only JSON-lines cache keyed by a content hash skips recomputation
 of the rows this scan's budget would let it compute.  A record stores only
 what its prime's computation produced; the flags are derived from its
-polygon, so a cache line replays its stored fields only.
+polygon, so a cache line replays its stored fields only.  The columns
+derived from a polygon, their CSV and JSON cells and the validation checks
+that read the polygon alone are computed once per distinct (polygon, d),
+in a cache keyed by the polygon's value: rows of one residue class, rows
+from --jobs workers and cache replays share it.
 """
 
 from __future__ import annotations
@@ -94,9 +99,10 @@ class ScanRecord:
     """One prime's worth of scan output: what its computation produced.
 
     polygon is None on an error row.  The columns read off the polygon
-    (gap, np_eq_hp, slope_mult_ge2, v0) are derived on first use, so a
-    record always agrees with its own vertices; they are None when the
-    polygon is.
+    (gap, np_eq_hp, slopes, v0, slope_mult_ge2) come from the scan's
+    per-polygon cache (_polygon_columns), so a record always agrees with
+    its own vertices, and rows with equal polygons share one computation;
+    they are None when the polygon is.
     """
 
     p: int
@@ -112,28 +118,75 @@ class ScanRecord:
         return self.p % self.d
 
     @functools.cached_property
+    def _columns(self) -> PolygonColumns:
+        return _NO_POLYGON if self.polygon is None else _polygon_columns(self.polygon, self.d)
+
+    @property
     def gap(self) -> Fraction | None:
-        return None if self.polygon is None else vertical_gap(self.polygon, hodge_polygon(self.d))
+        return self._columns.gap
 
-    @functools.cached_property
+    @property
     def np_eq_hp(self) -> bool | None:
-        return None if self.polygon is None else self.polygon == hodge_polygon(self.d)
+        return self._columns.np_eq_hp
 
-    @functools.cached_property
+    @property
     def slopes(self) -> tuple[tuple[Fraction, Fraction], ...] | None:
-        """(slope, horizontal length) per segment, built once per record."""
-        return None if self.polygon is None else self.polygon.slope_multiset()
+        """(slope, horizontal length) per segment."""
+        return self._columns.slopes
 
-    @functools.cached_property
+    @property
     def v0(self) -> Fraction | None:
         """The smallest slope of multiplicity >= 2, if any."""
-        if self.polygon is None:
-            return None
-        return next((s for s, length in self.slopes if length >= 2), None)
+        return self._columns.v0
 
     @property
     def slope_mult_ge2(self) -> bool | None:
-        return None if self.polygon is None else self.v0 is not None
+        return self._columns.slope_mult_ge2
+
+
+@dataclass(frozen=True)
+class PolygonColumns:
+    """What a record of degree d reads off its polygon alone.
+
+    csv and json render vertices, slopes, gap, np_eq_hp, slope_mult_ge2
+    and v0, in that order; json holds tuples where the record's JSON has
+    lists.  defect names the first of validate_record's polygon-only checks
+    that fails, if any.
+    """
+
+    gap: Fraction | None
+    np_eq_hp: bool | None
+    slopes: tuple[tuple[Fraction, Fraction], ...] | None
+    v0: Fraction | None
+    slope_mult_ge2: bool | None
+    wide_gap: bool  # gap >= 1/(2d)
+    defect: str | None
+    csv: tuple[str, ...]
+    json: tuple
+
+
+_NO_POLYGON = PolygonColumns(None, None, None, None, None, False, None, ("",) * 6, (None,) * 6)
+
+
+# Keyed by the polygon's value, not its identity, so the rows of one
+# residue class, rows from --jobs workers and cache replays share an entry.
+# A scan meets few distinct polygons: a shifted monomial at most d - 1.
+@functools.lru_cache(maxsize=256)
+def _polygon_columns(poly: ConvexPolygon, d: int) -> PolygonColumns:
+    hp = hodge_polygon(d)
+    defect = None
+    if not lies_above(poly, hp):
+        defect = "Newton polygon dips below Hodge"
+    elif poly.end != hp.end:  # (d-1, (d-1)/2)
+        defect = "polygon does not end at (d-1, (d-1)/2)"
+    slopes = poly.slope_multiset()
+    v0 = next((s for s, length in slopes if length >= 2), None)
+    gap, np_eq_hp = vertical_gap(poly, hp), poly == hp
+    values = (poly.vertices, slopes, gap, np_eq_hp, v0 is not None, v0)
+    return PolygonColumns(
+        gap, np_eq_hp, slopes, v0, v0 is not None, gap >= Fraction(1, 2 * d), defect,
+        csv=tuple(map(_csv_cell, values)), json=tuple(map(_json_value, values)),
+    )
 
 
 @dataclass(frozen=True)
@@ -229,19 +282,18 @@ def validate_record(rec: ScanRecord) -> None:
     K = (d-1) // 2 hold by construction; those checks still bite on cached
     rows.  The computed half is checked against Hodge here and in
     newton_polygon; the full-path comparison is crosscheck's
-    character-independence line and the tests.
+    character-independence line and the tests.  The checks that read the
+    polygon alone run once per distinct polygon (_polygon_columns); every
+    row still asserts them, and those that read p or the hint.
     """
     if rec.error is not None or rec.polygon is None:
         return
-    d = rec.d
-    hp = hodge_polygon(d)
-    if not lies_above(rec.polygon, hp):
-        raise InvariantViolation(f"p = {rec.p}: Newton polygon dips below Hodge")
-    if rec.polygon.end != hp.end:  # (d-1, (d-1)/2)
-        raise InvariantViolation(f"p = {rec.p}: polygon does not end at (d-1, (d-1)/2)")
-    if rec.p_mod_d == 1 and not rec.np_eq_hp:
+    cols = rec._columns
+    if cols.defect is not None:
+        raise InvariantViolation(f"p = {rec.p}: {cols.defect}")
+    if rec.p_mod_d == 1 and not cols.np_eq_hp:
         raise InvariantViolation(f"p = {rec.p} is 1 mod d but NP != HP")
-    if rec.admissible and not (rec.slope_mult_ge2 and rec.gap >= Fraction(1, 2 * d)):
+    if rec.admissible and not (cols.slope_mult_ge2 and cols.wide_gap):
         raise InvariantViolation(
             f"p = {rec.p} is admissible but lacks the repeated slope or the 1/(2d) gap"
         )
@@ -299,9 +351,8 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
                 cache_put(opts.cache_path, cache_key(fq, p, opts.char), rec)
             ordered.append(rec)
 
-    gap_bound = Fraction(1, 2 * d)
     n_np = sum(1 for r in ordered if r.np_eq_hp)
-    gaps = [r for r in ordered if r.gap is not None and r.gap >= gap_bound]
+    gaps = [r for r in ordered if r._columns.wide_gap]  # gap >= 1/(2d)
     backed = any(r.admissible for r in gaps)  # where the paper proves the gap recurs
     verdict = VERDICT_OSCILLATES if (n_np and backed) else VERDICT_NO_WITNESS
     summary = ScanSummary(
@@ -323,26 +374,9 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
 # ---------------------------------------------------------------------------
 # rendering: exact strings only, no floats.  A value is None, a bool, a
 # Fraction, a sequence of Fraction pairs (vertices, slopes) or an int; pairs
-# are "a/b:c/d;..." in a CSV cell and [[a, b, c, d], ...] in JSON.
-
-
-def record_values(rec: ScanRecord) -> tuple:
-    """The record's values in CSV_COLUMNS order."""
-    poly = rec.polygon
-    return (
-        rec.p,
-        rec.c,
-        rec.d,
-        None if poly is None else poly.vertices,
-        rec.slopes,
-        rec.gap,
-        rec.np_eq_hp,
-        rec.p_mod_d,
-        rec.admissible,
-        rec.slope_mult_ge2,
-        rec.v0,
-        rec.ms,
-    )
+# are "a/b:c/d;..." in a CSV cell and [[a, b, c, d], ...] in JSON.  The
+# columns read off the polygon are rendered once per distinct polygon, by
+# _polygon_columns.
 
 
 def _csv_cell(v) -> str:
@@ -358,19 +392,46 @@ def _csv_cell(v) -> str:
 
 
 def _json_value(v):
+    """v as JSON, with tuples for its arrays: a cached value is immutable."""
     if isinstance(v, Fraction):
-        return [v.numerator, v.denominator]
+        return v.numerator, v.denominator
     if isinstance(v, tuple):
-        return [[*_json_value(a), *_json_value(b)] for a, b in v]
+        return tuple((*_json_value(a), *_json_value(b)) for a, b in v)
     return v  # None, bool, int
 
 
+def _lists(v):
+    """A JSON value with fresh lists for its tuples."""
+    return [_lists(x) for x in v] if isinstance(v, tuple) else v
+
+
+def _cells(rec: ScanRecord, render: Callable, shared) -> tuple:
+    """The record's cells in CSV_COLUMNS order: render renders the row's own
+    values, and shared holds its polygon's six rendered columns."""
+    vertices, slopes, gap, np_eq_hp, slope_mult_ge2, v0 = shared
+    return (
+        render(rec.p),
+        render(rec.c),
+        render(rec.d),
+        vertices,
+        slopes,
+        gap,
+        np_eq_hp,
+        render(rec.p_mod_d),
+        render(rec.admissible),
+        slope_mult_ge2,
+        v0,
+        render(rec.ms),
+    )
+
+
 def record_to_row(rec: ScanRecord) -> list[str]:
-    return [_csv_cell(v) for v in record_values(rec)]
+    return list(_cells(rec, _csv_cell, rec._columns.csv))
 
 
 def record_to_json(rec: ScanRecord) -> dict:
-    row = {name: _json_value(v) for name, v in zip(CSV_COLUMNS, record_values(rec))}
+    shared = map(_lists, rec._columns.json)
+    row = dict(zip(CSV_COLUMNS, _cells(rec, _json_value, shared)))
     row["error"] = rec.error
     return row
 

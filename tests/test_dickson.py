@@ -152,6 +152,30 @@ def test_admissible_triples():
         is_admissible(7, F(1), 1)
 
 
+def test_admissible_permutation_gate_is_the_field_criterion():
+    """is_admissible decides from p and a mod p what dickson_perm_criterion
+    decides on the element of F_p."""
+    for p in (p for p in range(2, 60) if is_prime(p)):
+        for a in (F(0), F(1), F(-1), F(p), F(3 * p, 7), F(2, 5), F(p + 1, 3)):
+            for n in range(2, 14):
+                t = is_admissible(p, a, n)
+                if t.p_integral:
+                    want = dickson_perm_criterion(n, build_field(p, 1).element(ratpoly.mod_p(a, p)))
+                    assert t.dickson_permutes == want, (p, a, n)
+
+
+def test_shifted_monomial_scan_builds_no_field():
+    """Admissibility reads p and a mod p; a closed-form scan enumerates no
+    field, so it builds none either."""
+    from npscan.scan import ScanOptions, run_scan
+
+    before = build_field.cache_info()
+    records, summary = run_scan(ratpoly.poly_pow(ratpoly.X, 3), ScanOptions(p_max=3000))
+    after = build_field.cache_info()
+    assert summary.n_admissible == 221 and len(records) == 429
+    assert (after.currsize, after.misses, after.hits) == (before.currsize, before.misses, before.hits)
+
+
 def test_gpp_over_q():
     assert gpp_over_q(3, F(0))
     assert gpp_over_q(5, F(0))

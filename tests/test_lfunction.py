@@ -305,6 +305,47 @@ def test_monomial_polygon_edges():
         monomial_polygon(0, 5)
 
 
+def test_monomial_polygon_slopes_are_stickelbergers():
+    """Every class of good places p <= 1000 for d <= 12: the slopes, each as
+    often as its segment is long, are Stickelberger's, computed here."""
+    primes = [p for p in range(2, 1001) if all(p % k for k in range(2, math.isqrt(p) + 1))]
+    for d in range(1, 13):
+        for p in primes:
+            if math.gcd(d, p) != 1:
+                continue
+            r = next(r for r in range(1, d + 1) if pow(p, r, d) == 1 % d)
+            want = sorted(
+                F(sum(pow(p, i, d) * a % d for i in range(r)), d * r) for a in range(1, d)
+            )
+            got = [
+                s for s, length in monomial_polygon(d, p).slope_multiset() for _ in range(int(length))
+            ]
+            assert got == want, (d, p)
+
+
+def test_monomial_polygon_is_one_object_per_residue_class():
+    for d, primes in ((3, (7, 13, 10009)), (5, (2, 7, 17, 10007)), (12, (5, 17, 29))):
+        polys = [monomial_polygon(d, p) for p in primes]
+        assert all(poly is polys[0] for poly in polys), d
+    assert monomial_polygon(5, 2) is not monomial_polygon(5, 3)  # equal, other classes
+    assert monomial_polygon(5, 2) == monomial_polygon(5, 3)
+
+
+@pytest.mark.parametrize("d,p", [(0, 5), (-3, 5), (0, 1)])
+def test_monomial_polygon_rejects_bad_degree(d, p):
+    with pytest.raises(ValueError):
+        monomial_polygon(d, p)
+
+
+@pytest.mark.parametrize("d,p", [(6, 3), (6, 2), (5, 5), (4, 2), (3, 0), (5, 15)])
+def test_monomial_polygon_rejects_a_place_dividing_d(d, p):
+    """The memo is keyed by p mod d; a bad p is refused even where a good
+    prime's class was asked for first."""
+    monomial_polygon(d, 7 if d % 7 else 11)
+    with pytest.raises(DegreeCharClash):
+        monomial_polygon(d, p)
+
+
 def test_half_l_budget_precheck_refuses_what_half_l_refuses():
     """The closed-form scan rows and the scan cache apply this check: it
     must refuse exactly what l_polynomial(half=True) refuses, with the same

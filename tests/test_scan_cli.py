@@ -22,7 +22,7 @@ from npscan.cli import main, parse_poly
 from npscan.cyclotomic import CycInt
 from npscan.dickson import DicksonSpec, dickson
 from npscan.errors import InvariantViolation, MissingOrigin
-from npscan.polygons import hodge_polygon, lower_hull
+from npscan.polygons import hodge_polygon, lower_hull, vertical_gap
 from npscan.scan import (
     CACHE_VERSION,
     VERDICT_NO_WITNESS,
@@ -431,6 +431,71 @@ def test_closed_form_rows_are_validated(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# columns read off the polygon: one computation per distinct polygon
+
+
+def _scans(f, p_max, tmp_path):
+    """Records of f from a serial scan, --jobs 2, and a cache written then replayed."""
+    opts = ScanOptions(p_max=p_max, timing=False)
+    cached = dataclasses.replace(opts, cache_path=str(tmp_path / "cache.jsonl"))
+    return {
+        "serial": run_scan(f, opts)[0],
+        "jobs": run_scan(f, dataclasses.replace(opts, jobs=2))[0],
+        "cache-write": run_scan(f, cached)[0],
+        "cache-replay": run_scan(f, cached)[0],
+    }
+
+
+@pytest.mark.parametrize("text, p_max", [("x^5+3", 400), ("x^3+x", 300)])
+def test_shared_columns_equal_direct_computation(tmp_path, text, p_max):
+    f = parse_poly(text)
+    hp = hodge_polygon(ratpoly.degree(f))
+    gap_cell = HEADER.split(",").index("gap")
+    for how, records in _scans(f, p_max, tmp_path).items():
+        assert [rec.p for rec in records] == good_places(f, p_max), how
+        for rec in records:
+            poly = rec.polygon
+            slopes = poly.slope_multiset()
+            v0 = next((s for s, length in slopes if length >= 2), None)
+            gap = vertical_gap(poly, hp)
+            assert rec.gap == gap and rec.np_eq_hp == (poly == hp), (how, rec.p)
+            assert rec.slopes == slopes and rec.v0 == v0, (how, rec.p)
+            assert rec.slope_mult_ge2 == (v0 is not None), (how, rec.p)
+            assert record_to_row(rec)[gap_cell] == f"{gap.numerator}/{gap.denominator}"
+            assert record_to_json(rec)["gap"] == [gap.numerator, gap.denominator]
+
+
+def test_rows_with_equal_polygons_share_their_columns(tmp_path):
+    """x^5 + 3 has four classes of good places mod 5: rows share a polygon
+    object per class and, keyed by value, one set of columns per distinct
+    polygon, whether computed, from --jobs workers or replayed."""
+    f = parse_poly("x^5+3")
+    runs = _scans(f, 400, tmp_path)
+    serial = runs["serial"]
+    assert len(serial) == 77 and sum(rec.admissible for rec in serial) == 58
+    assert {rec.p_mod_d for rec in serial} == {1, 2, 3, 4}
+    for residue in (1, 2, 3, 4):
+        polys = [rec.polygon for rec in serial if rec.p_mod_d == residue]
+        assert all(poly is polys[0] for poly in polys)
+    for how, records in runs.items():
+        for rec, first in zip(records, serial):
+            assert rec == first, how
+            assert rec._columns is first._columns, (how, rec.p)
+    # p = 2, 3 mod 5 give equal polygons from two cache entries of the closed form
+    two, three = (next(r for r in serial if r.p_mod_d == k) for k in (2, 3))
+    assert two.polygon is not three.polygon and two._columns is three._columns
+
+
+def test_columns_cache_does_not_share_json_lists():
+    rec = scan_record(X3, 5, timing=False)
+    obj = record_to_json(rec)
+    obj["vertices"][0][0] = 99
+    obj["gap"].append(0)
+    again = record_to_json(scan_record(X3, 11, timing=False))
+    assert again["vertices"][0] == [0, 1, 0, 1] and again["gap"] == [1, 6]
+
+
+# ---------------------------------------------------------------------------
 # polynomial parsing
 
 
@@ -523,8 +588,15 @@ def test_parse_poly_sums_of_terms(case):
             ["scan", "x^3", "--p-max", "300", "--no-timing", "--format", "json"],
             "acd6c8dd8b8bf40711d51073b98e63b36355745750b44567d64ea52d0bb20a10",
         ),
+        (  # 77 closed-form rows in four classes mod 5, 58 admissible
+            ["scan", "x^5+3", "--p-max", "400", "--no-timing"],
+            "2ec2a6ae62cf47416acd7e43f182a90b36248aa6b34e74bd400d2ecb291f0aa3",
+        ),
     ],
-    ids=["scan-x3-csv", "scan-x3x-csv", "scan-x3x-json", "scan-d5-csv", "scan-x3-json"],
+    ids=[
+        "scan-x3-csv", "scan-x3x-csv", "scan-x3x-json", "scan-d5-csv", "scan-x3-json",
+        "scan-x5c-csv",
+    ],
 )
 def test_benchmark_scan_stdout_digest(capsys, args, digest):
     assert main(args) == 0
