@@ -317,9 +317,8 @@ def test_monomial_polygon_slopes_are_stickelbergers():
             want = sorted(
                 F(sum(pow(p, i, d) * a % d for i in range(r)), d * r) for a in range(1, d)
             )
-            got = [
-                s for s, length in monomial_polygon(d, p).slope_multiset() for _ in range(int(length))
-            ]
+            segments = monomial_polygon(d, p).slope_multiset()
+            got = [s for s, length in segments for _ in range(int(length))]
             assert got == want, (d, p)
 
 
