@@ -250,11 +250,11 @@ def monomial_polygon(d: int, p: int) -> ConvexPolygon:
 
 # at most d classes per d, so a scan fills a few entries
 @functools.lru_cache(maxsize=128)
-def _residue_class_polygon(d: int, p: int) -> ConvexPolygon:
-    """monomial_polygon for the residue p of a good place mod d."""
+def _residue_class_polygon(d: int, residue: int) -> ConvexPolygon:
+    """monomial_polygon for the primes p = residue mod d."""
     powers = [1]  # p^i mod d for i < r
-    while powers[-1] * p % d != 1 % d:
-        powers.append(powers[-1] * p % d)
+    while powers[-1] * residue % d != 1 % d:
+        powers.append(powers[-1] * residue % d)
     r = len(powers)
     slopes = sorted(Fraction(sum(pi * a % d for pi in powers), d * r) for a in range(1, d))
     points = [(Fraction(0), Fraction(0))]

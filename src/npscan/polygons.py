@@ -131,7 +131,6 @@ def lower_hull(points: Iterable[tuple]) -> ConvexPolygon:
     return ConvexPolygon(tuple(pt for _, pt in hull))
 
 
-@functools.lru_cache(maxsize=64)
 def hodge_polygon(d: int) -> ConvexPolygon:
     """Vertices (k, k(k+1)/(2d)) for k = 0..d-1: slope k/d with length 1 each."""
     if d < 1:

@@ -24,10 +24,10 @@ append-only JSON-lines cache keyed by a content hash skips recomputation
 of the rows this scan's budget would let it compute.  A record stores only
 what its prime's computation produced; the flags are derived from its
 polygon, so a cache line replays its stored fields only.  The columns
-derived from a polygon, their CSV and JSON cells and the validation checks
-that read the polygon alone are computed once per distinct (polygon, d),
-in a cache keyed by the polygon's value: rows of one residue class, rows
-from --jobs workers and cache replays share it.
+derived from a polygon and the validation checks that read the polygon
+alone are computed once per distinct (polygon, d), in a cache keyed by
+the polygon's value: rows of one residue class, rows from --jobs workers
+and cache replays share it.
 """
 
 from __future__ import annotations
@@ -148,10 +148,8 @@ class ScanRecord:
 class PolygonColumns:
     """What a record of degree d reads off its polygon alone.
 
-    csv and json render vertices, slopes, gap, np_eq_hp, slope_mult_ge2
-    and v0, in that order; json holds tuples where the record's JSON has
-    lists.  defect names the first of validate_record's polygon-only checks
-    that fails, if any.
+    defect names the first of validate_record's polygon-only checks that
+    fails, if any.
     """
 
     gap: Fraction | None
@@ -161,11 +159,9 @@ class PolygonColumns:
     slope_mult_ge2: bool | None
     wide_gap: bool  # gap >= 1/(2d)
     defect: str | None
-    csv: tuple[str, ...]
-    json: tuple
 
 
-_NO_POLYGON = PolygonColumns(None, None, None, None, None, False, None, ("",) * 6, (None,) * 6)
+_NO_POLYGON = PolygonColumns(None, None, None, None, None, False, None)
 
 
 # Keyed by the polygon's value, not its identity, so the rows of one
@@ -181,11 +177,9 @@ def _polygon_columns(poly: ConvexPolygon, d: int) -> PolygonColumns:
         defect = "polygon does not end at (d-1, (d-1)/2)"
     slopes = poly.slope_multiset()
     v0 = next((s for s, length in slopes if length >= 2), None)
-    gap, np_eq_hp = vertical_gap(poly, hp), poly == hp
-    values = (poly.vertices, slopes, gap, np_eq_hp, v0 is not None, v0)
+    gap = vertical_gap(poly, hp)
     return PolygonColumns(
-        gap, np_eq_hp, slopes, v0, v0 is not None, gap >= Fraction(1, 2 * d), defect,
-        csv=tuple(map(_csv_cell, values)), json=tuple(map(_json_value, values)),
+        gap, poly == hp, slopes, v0, v0 is not None, gap >= Fraction(1, 2 * d), defect
     )
 
 
@@ -374,9 +368,26 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
 # ---------------------------------------------------------------------------
 # rendering: exact strings only, no floats.  A value is None, a bool, a
 # Fraction, a sequence of Fraction pairs (vertices, slopes) or an int; pairs
-# are "a/b:c/d;..." in a CSV cell and [[a, b, c, d], ...] in JSON.  The
-# columns read off the polygon are rendered once per distinct polygon, by
-# _polygon_columns.
+# are "a/b:c/d;..." in a CSV cell and [[a, b, c, d], ...] in JSON.
+
+
+def record_values(rec: ScanRecord) -> tuple:
+    """The record's values in CSV_COLUMNS order."""
+    poly = rec.polygon
+    return (
+        rec.p,
+        rec.c,
+        rec.d,
+        None if poly is None else poly.vertices,
+        rec.slopes,
+        rec.gap,
+        rec.np_eq_hp,
+        rec.p_mod_d,
+        rec.admissible,
+        rec.slope_mult_ge2,
+        rec.v0,
+        rec.ms,
+    )
 
 
 def _csv_cell(v) -> str:
@@ -392,46 +403,19 @@ def _csv_cell(v) -> str:
 
 
 def _json_value(v):
-    """v as JSON, with tuples for its arrays: a cached value is immutable."""
     if isinstance(v, Fraction):
-        return v.numerator, v.denominator
+        return [v.numerator, v.denominator]
     if isinstance(v, tuple):
-        return tuple((*_json_value(a), *_json_value(b)) for a, b in v)
+        return [[*_json_value(a), *_json_value(b)] for a, b in v]
     return v  # None, bool, int
 
 
-def _lists(v):
-    """A JSON value with fresh lists for its tuples."""
-    return [_lists(x) for x in v] if isinstance(v, tuple) else v
-
-
-def _cells(rec: ScanRecord, render: Callable, shared) -> tuple:
-    """The record's cells in CSV_COLUMNS order: render renders the row's own
-    values, and shared holds its polygon's six rendered columns."""
-    vertices, slopes, gap, np_eq_hp, slope_mult_ge2, v0 = shared
-    return (
-        render(rec.p),
-        render(rec.c),
-        render(rec.d),
-        vertices,
-        slopes,
-        gap,
-        np_eq_hp,
-        render(rec.p_mod_d),
-        render(rec.admissible),
-        slope_mult_ge2,
-        v0,
-        render(rec.ms),
-    )
-
-
 def record_to_row(rec: ScanRecord) -> list[str]:
-    return list(_cells(rec, _csv_cell, rec._columns.csv))
+    return [_csv_cell(v) for v in record_values(rec)]
 
 
 def record_to_json(rec: ScanRecord) -> dict:
-    shared = map(_lists, rec._columns.json)
-    row = dict(zip(CSV_COLUMNS, _cells(rec, _json_value, shared)))
+    row = {name: _json_value(v) for name, v in zip(CSV_COLUMNS, record_values(rec))}
     row["error"] = rec.error
     return row
 

@@ -486,15 +486,6 @@ def test_rows_with_equal_polygons_share_their_columns(tmp_path):
     assert two.polygon is not three.polygon and two._columns is three._columns
 
 
-def test_columns_cache_does_not_share_json_lists():
-    rec = scan_record(X3, 5, timing=False)
-    obj = record_to_json(rec)
-    obj["vertices"][0][0] = 99
-    obj["gap"].append(0)
-    again = record_to_json(scan_record(X3, 11, timing=False))
-    assert again["vertices"][0] == [0, 1, 0, 1] and again["gap"] == [1, 6]
-
-
 # ---------------------------------------------------------------------------
 # polynomial parsing
 
