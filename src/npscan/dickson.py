@@ -49,43 +49,31 @@ def compose(g: QPoly, h: QPoly) -> QPoly:
     return poly_compose(as_poly(g), as_poly(h))
 
 
-def dickson(n: int, a) -> QPoly:
-    """D_n(x, a) over Q via the three-term recurrence."""
+def _dickson_coeffs(n: int, a, one) -> list:
+    """D_n(x, a)'s coefficients, ascending, by the three-term recurrence in
+    the ring of a, whose one is given; zero and two are made from it."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = Fraction(a)
-    prev: QPoly = (Fraction(2),)  # D_0
-    cur: QPoly = X  # D_1
+    zero = one - one
+    prev, cur = [one + one], [zero, one]  # D_0, D_1
     if n == 0:
         return prev
     for _ in range(n - 1):
-        shifted = (Fraction(0),) + tuple(cur)  # x * D_k
-        prev, cur = cur, poly_sub(shifted, as_poly(c * a for c in prev))
+        nxt = [zero] + cur  # x * D_k
+        for i, c in enumerate(prev):
+            nxt[i] = nxt[i] - c * a
+        prev, cur = cur, nxt
     return cur
+
+
+def dickson(n: int, a) -> QPoly:
+    """D_n(x, a) over Q via the three-term recurrence."""
+    return as_poly(_dickson_coeffs(n, Fraction(a), Fraction(1)))
 
 
 def dickson_over_field(n: int, a: FieldElement) -> FieldPolynomial:
     """D_n(x, a) with a in F_q, as a polynomial over F_q."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    field = a.field
-    zero = field.zero()
-
-    def sub(u: tuple, v: tuple) -> tuple:
-        m = max(len(u), len(v))
-        return tuple(
-            (u[i] if i < len(u) else zero) - (v[i] if i < len(v) else zero)
-            for i in range(m)
-        )
-
-    prev = (field.element(2),)
-    cur = (zero, field.one())
-    if n == 0:
-        return FieldPolynomial(field, prev)
-    for _ in range(n - 1):
-        shifted = (zero,) + cur
-        prev, cur = cur, sub(shifted, tuple(c * a for c in prev))
-    return FieldPolynomial(field, cur)
+    return FieldPolynomial(a.field, _dickson_coeffs(n, a, a.field.one()))
 
 
 def is_permutation_bruteforce(gbar: FieldPolynomial, budget: int | None = None) -> bool:

@@ -12,11 +12,11 @@ A gap at a prime that is not admissible (small primes show some for f
 with no global permutation factor) backs no verdict, though gap_witness
 counts it.
 
-NP_p(f) comes from half of the L-polynomial (np_at_prime), except when f
-is a shifted monomial (x + b)^d + c: then every row takes Stickelberger's
-closed form (monomial_polygon) after the same budget check, and gives the
-same bytes with no field enumerated.  The closed form reads p only mod d,
-so the rows of one residue class share one polygon.
+NP_p(f) comes from half of the L-polynomial (np_at_prime).  For a shifted
+monomial (x + b)^d + c, run_scan sets scan_record's closed_form (npscan np
+never does): every row takes Stickelberger's closed form (monomial_polygon)
+after the same budget check and gives the same bytes with no field
+enumerated.  It reads p only mod d, so a residue class shares one polygon.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 this module is the only one that writes a record or reads one back.  An
@@ -39,7 +39,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import IO, Callable, Sequence
+from typing import IO, Sequence
 
 from . import ratpoly
 from .dickson import DicksonSpec, find_dickson_factor, is_admissible
@@ -218,18 +218,6 @@ def _admissible(p: int, hint: DicksonSpec | None) -> bool | None:
     return None if hint is None else is_admissible(p, hint.a, hint.n).admissible
 
 
-def monomial_np_at_prime(
-    f: Sequence[Fraction], p: int, chi_index: int = 1, budget: int | None = None
-) -> ConvexPolygon:
-    """np_at_prime for f = (x + b)^d + c at a good place p, from the closed
-    form: the same polygon, or the same BudgetExceeded, with no field
-    enumerated.  The polygon depends on no character, so chi_index is
-    unused."""
-    d = ratpoly.degree(ratpoly.as_poly(f))
-    check_half_l_budget(p, d, budget)
-    return monomial_polygon(d, p)
-
-
 def _half_l_fits(p: int, d: int, budget: int | None) -> bool:
     try:
         check_half_l_budget(p, d, budget)
@@ -245,12 +233,13 @@ def scan_record(
     budget: int | None = None,
     hint: DicksonSpec | None = None,
     timing: bool = True,
-    route: Callable[..., ConvexPolygon] = np_at_prime,
+    closed_form: bool = False,
 ) -> ScanRecord:
     """Compute one record; budget blowups land in the error field.
 
-    route computes the polygon with np_at_prime's signature; run_scan
-    passes monomial_np_at_prime for a shifted monomial."""
+    The polygon comes from half of L, or with closed_form, which holds only
+    for f = (x + b)^d + c, from monomial_polygon after half of L's budget
+    check: run_scan sets it for such f, npscan np never does."""
     if not is_prime(p):  # before char % p reads it
         raise NotPrime(f"{p} is not prime")
     fq = ratpoly.as_poly(f)
@@ -261,7 +250,11 @@ def scan_record(
         return ScanRecord(p, char, d, None, admissible, None, "character index divisible by p")
     t0 = time.perf_counter()
     try:
-        poly = route(fq, p, c_eff, budget)
+        if closed_form:
+            check_half_l_budget(p, d, budget)
+            poly = monomial_polygon(d, p)
+        else:
+            poly = np_at_prime(fq, p, c_eff, budget)
     except BudgetExceeded as exc:
         return ScanRecord(p, c_eff, d, None, admissible, None, f"budget-exceeded: {exc}")
     ms = int((time.perf_counter() - t0) * 1000) if timing else None
@@ -312,19 +305,20 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
     # would pass it, the check of l_polynomial(..., half=True)
     for p in primes if cache else ():  # no rows, no keys to hash
         rec = cache.get(cache_key(fq, p, opts.char))
-        if rec is not None and _half_l_fits(p, d, opts.budget):
+        if rec is not None and (rec.p, rec.c, rec.d) != (p, opts.char % p, d):
+            print(f"cache: the entry for p = {p} holds a record of p = {rec.p}, c = {rec.c},"
+                  f" d = {rec.d}; recomputing it", file=sys.stderr)
+        elif rec is not None and _half_l_fits(p, d, opts.budget):
             # admissible depends on this scan's hint, which the key leaves out;
             # ms is settled here, so the renderers print what the record holds
             cached[p] = replace(
                 rec, admissible=_admissible(p, hint), ms=rec.ms if opts.timing else None
             )
 
-    # Stickelberger's closed form gives every row of (x + b)^d + c; a
-    # module-level function, so --jobs workers can unpickle it
-    route = monomial_np_at_prime if ratpoly.is_shifted_monomial(fq) else np_at_prime
+    # Stickelberger's closed form gives every row of (x + b)^d + c
     compute = functools.partial(
         scan_record, fq, char=opts.char, budget=opts.budget, hint=hint, timing=opts.timing,
-        route=route,
+        closed_form=ratpoly.is_shifted_monomial(fq),
     )
     todo = [p for p in primes if p not in cached]
     ordered: list[ScanRecord] = []

@@ -106,8 +106,15 @@ def test_scaling_law():
 
 
 def test_dickson_over_field_matches_reduction():
-    d = dickson(5, F(1))
-    assert dickson_over_field(5, build_field(7, 1).element(1)) == reduce_mod_p(d, 7)
+    """Both constructions share one recurrence; at p = 2, D_0 = 2 reduces to
+    the zero polynomial on both sides."""
+    for a in (F(0), F(1), F(-2), F(3, 5)):
+        for p in (2, 3, 7, 13):
+            if a.denominator % p == 0:
+                continue
+            a_bar = build_field(p, 1).element(ratpoly.mod_p(a, p))
+            for n in range(13):
+                assert dickson_over_field(n, a_bar) == reduce_mod_p(dickson(n, a), p), (n, a, p)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])

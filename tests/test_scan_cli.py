@@ -358,6 +358,26 @@ def test_cache_replay_recomputes_admissible(tmp_path):
     assert replayed == run_scan(X3, dataclasses.replace(opts, cache_path=None))[0]
 
 
+def test_cache_entry_of_another_prime_is_recomputed(tmp_path, capsys):
+    """A cache line whose record names another prime than its key's is a
+    miss: the row is recomputed and appended, and stderr says so once."""
+    path = tmp_path / "cache.jsonl"
+    scan = ["scan", "x^3+x", "--p-max", "13", "--no-timing"]
+    assert main(scan) == 0
+    clean = capsys.readouterr()
+    assert main(scan + ["--cache", str(path)]) == 0
+    capsys.readouterr()
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    next(e for e in entries if e["record"]["p"] == 7)["record"]["p"] = 11
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    assert main(scan + ["--cache", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out == clean.out
+    notes = [line for line in out.err.splitlines() if line.startswith("cache:")]
+    assert len(notes) == 1 and "p = 7" in notes[0]
+    assert len(path.read_text().splitlines()) == len(entries) + 1
+
+
 # ---------------------------------------------------------------------------
 # rows of a shifted monomial (x + b)^d + c, taken from Stickelberger's closed form
 
@@ -391,9 +411,35 @@ def test_scan_of_a_non_monomial_takes_half_of_l(monkeypatch, f):
     def refuse(*args):
         raise AssertionError("closed form used for a non-monomial")
 
-    monkeypatch.setattr(scan_module, "monomial_np_at_prime", refuse)
+    monkeypatch.setattr(scan_module, "monomial_polygon", refuse)
     records, _ = run_scan(f, ScanOptions(p_max=13, timing=False))
     assert records and all(rec.polygon is not None for rec in records)
+
+
+def test_np_of_a_monomial_takes_half_of_l(monkeypatch, capsys):
+    """np never takes the closed form: np x^3 7 runs one half-L polynomial
+    and its valuations (the benchmark's tracer probe relies on this)."""
+    def refuse(*args):
+        raise AssertionError("closed form used by np")
+
+    calls = {"l_polynomial": 0, "pi_valuation": 0}
+
+    def counted(name):
+        inner = getattr(lfunction, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scan_module, "monomial_polygon", refuse)
+    for name in calls:
+        monkeypatch.setattr(lfunction, name, counted(name))
+    assert main(["np", "x^3", "7", "--no-timing"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        HEADER, "7,1,3,0/1:0/1;1/1:1/3;2/1:1/1,1/3:1/1;2/3:1/1,0/1,true,1,,false,,"
+    ]
+    assert calls["l_polynomial"] == 1 and calls["pi_valuation"] >= 1
 
 
 def test_monomial_scan_prints_the_half_l_bytes(tmp_path, capsys):
