@@ -61,7 +61,7 @@ def _dickson_coeffs(n: int, a, one) -> list:
     for _ in range(n - 1):
         nxt = [zero] + cur  # x * D_k
         for i, c in enumerate(prev):
-            nxt[i] = nxt[i] - c * a
+            nxt[i] -= c * a
         prev, cur = cur, nxt
     return cur
 
