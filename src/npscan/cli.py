@@ -48,7 +48,6 @@ from .lfunction import (
     Character,
     exp_sum,
     l_polynomial,
-    monomial_polygon,
     newton_polygon,
     np_base_change_check,
     reduce_mod_p,
@@ -253,15 +252,14 @@ def cmd_crosscheck(args) -> int:
         lambda: np_base_change_check(fbar, args.base_change, Character(p, 1), budget))
 
     def character_independence():
-        # also pins the half-L path (np rows) and, for a shifted monomial,
-        # the closed form of scan rows to the full L
+        # also pins the half-L path (np rows) and whatever route scan rows
+        # of f take to the full L
         polys = set()
         for c in range(1, p):
             chi = Character(p, c)
             polys.add(newton_polygon(l_polynomial(fbar, chi, budget)))
             polys.add(newton_polygon(l_polynomial(fbar, chi, budget, half=True)))
-        if ratpoly.is_shifted_monomial(f):
-            polys.add(monomial_polygon(ratpoly.degree(f), p))
+        polys.add(scan.scan_record(f, p, budget=budget, closed_form=True).polygon)
         return len(polys) == 1
 
     run("character-independence", character_independence)

@@ -123,20 +123,16 @@ def eval_blocks(fbar: FieldPolynomial) -> Iterator[tuple[int, np.ndarray]]:
     limit = _q_limit(e, 1, _INT64_SAFE)
     if q > limit:
         raise BudgetExceeded(q, limit)
-    rows = fbar.int_rows()
-    coeffs = np.array(rows, dtype=np.int64) if rows else np.zeros((0, e), dtype=np.int64)
-    d = len(rows) - 1
+    # the zero polynomial is evaluated as the constant 0
+    coeffs = np.array(fbar.int_rows() or [[0] * e], dtype=np.int64)
+    d = len(coeffs) - 1
     size = _CHUNK // e  # a block's matrices X hold _CHUNK * e entries
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
         for start in range(0, q, size):
             stop = min(start + size, q)
-            n = stop - start
-            if d < 0:
-                yield start, np.zeros((n, e), dtype=np.int64)
-                continue
             X = _mul_matrices(field, _element_block(field, start, stop))
-            V = np.tile(coeffs[d], (n, 1))
+            V = np.tile(coeffs[d], (stop - start, 1))
             for k in range(d - 1, -1, -1):
                 V = (V[:, None, :] @ X)[:, 0] + coeffs[k]
                 V %= p

@@ -27,8 +27,8 @@ For f = (x + b)^d + c no field needs enumerating at all: Stickelberger's
 theorem on Gauss sums gives NP_p(f) as a function of p mod d alone, and
 monomial_polygon computes it once per residue class.  Scan rows of such
 an f take it, after check_half_l_budget, the budget rule of half of L;
-np_at_prime, the full L and the crosscheck stay on the enumeration, which
-checks it.
+np_at_prime and the full L stay on the enumeration.  crosscheck holds the
+scan row of f, whichever route scan_record takes for it, to the full L.
 """
 
 from __future__ import annotations

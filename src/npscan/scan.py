@@ -12,11 +12,12 @@ A gap at a prime that is not admissible (small primes show some for f
 with no global permutation factor) backs no verdict, though gap_witness
 counts it.
 
-NP_p(f) comes from half of the L-polynomial (np_at_prime).  For a shifted
-monomial (x + b)^d + c, run_scan sets scan_record's closed_form (npscan np
-never does): every row takes Stickelberger's closed form (monomial_polygon)
-after the same budget check and gives the same bytes with no field
-enumerated.  It reads p only mod d, so a residue class shares one polygon.
+NP_p(f) comes from half of the L-polynomial (np_at_prime).  scan_record
+owns the route: where its caller allows it (closed_form: run_scan and
+crosscheck do, npscan np does not) and f itself is (x + b)^d + c, a row
+takes Stickelberger's closed form (monomial_polygon) after the same budget
+check, with the same bytes, no field enumerated and one polygon per class
+of p mod d.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 this module is the only one that writes a record or reads one back.  An
@@ -226,6 +227,10 @@ def _half_l_fits(p: int, d: int, budget: int | None) -> bool:
     return True
 
 
+# a scan asks about one f on every row, so each row pays a dict lookup
+_is_shifted_monomial = functools.lru_cache(maxsize=64)(ratpoly.is_shifted_monomial)
+
+
 def scan_record(
     f: Sequence[Fraction],
     p: int,
@@ -237,9 +242,9 @@ def scan_record(
 ) -> ScanRecord:
     """Compute one record; budget blowups land in the error field.
 
-    The polygon comes from half of L, or with closed_form, which holds only
-    for f = (x + b)^d + c, from monomial_polygon after half of L's budget
-    check: run_scan sets it for such f, npscan np never does."""
+    closed_form allows, and does not assert, the closed form: a row of
+    f = (x + b)^d + c then comes from monomial_polygon after half of L's
+    budget check, and every other row from half of L."""
     if not is_prime(p):  # before char % p reads it
         raise NotPrime(f"{p} is not prime")
     fq = ratpoly.as_poly(f)
@@ -250,7 +255,7 @@ def scan_record(
         return ScanRecord(p, char, d, None, admissible, None, "character index divisible by p")
     t0 = time.perf_counter()
     try:
-        if closed_form:
+        if closed_form and _is_shifted_monomial(fq):
             check_half_l_budget(p, d, budget)
             poly = monomial_polygon(d, p)
         else:
@@ -315,11 +320,8 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
                 rec, admissible=_admissible(p, hint), ms=rec.ms if opts.timing else None
             )
 
-    # Stickelberger's closed form gives every row of (x + b)^d + c
-    compute = functools.partial(
-        scan_record, fq, char=opts.char, budget=opts.budget, hint=hint, timing=opts.timing,
-        closed_form=ratpoly.is_shifted_monomial(fq),
-    )
+    compute = functools.partial(scan_record, fq, char=opts.char, budget=opts.budget, hint=hint,
+                                timing=opts.timing, closed_form=True)
     todo = [p for p in primes if p not in cached]
     ordered: list[ScanRecord] = []
     with contextlib.ExitStack() as stack:

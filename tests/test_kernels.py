@@ -283,6 +283,22 @@ def test_distinct_value_count():
     assert kernels.distinct_value_count(F.poly([0, 0, 1])) == 3  # squares: 0,1,4
 
 
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2), (2, 5)])
+def test_kernels_on_zero_and_constant_polynomials(p, e):
+    """The zero polynomial is evaluated as the constant 0: one value, a root
+    at the first element; a nonzero constant c has one value, no root and
+    every trace at Tr(c)."""
+    F = build_field(p, e)
+    zero, c = F.poly([]), F.element(1)
+    const = F.poly([c])
+    assert kernels.distinct_value_count(zero) == kernels.distinct_value_count(const) == 1
+    assert kernels.find_first_root(F, ()) == 0
+    with pytest.raises(ValueError):
+        kernels.find_first_root(F, (1,))
+    hist = kernels._trace_histogram_horner(const)
+    assert hist[F.trace(c)] == F.q and sum(hist) == F.q
+
+
 def test_find_first_root_matches_scan(monkeypatch):
     F = build_field(3, 4)
     sub = build_field(3, 2)

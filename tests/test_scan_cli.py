@@ -416,6 +416,17 @@ def test_scan_of_a_non_monomial_takes_half_of_l(monkeypatch, f):
     assert records and all(rec.polygon is not None for rec in records)
 
 
+@pytest.mark.parametrize("poly", ["x^3", "x^3+x", "x^4+x", "3,3,3,1", "x^5+x", "dickson(5,1)"])
+def test_closed_form_flag_keeps_every_row(poly):
+    """closed_form only allows the closed form: scan_record takes it where f
+    is a shifted monomial ("3,3,3,1" is (x + 1)^3 + 2) and half of L
+    elsewhere, so every row renders as it does without the flag."""
+    f = parse_poly(poly)
+    for p in good_places(f, 60):
+        allowed = scan_record(f, p, timing=False, closed_form=True)
+        assert record_to_row(allowed) == record_to_row(scan_record(f, p, timing=False)), p
+
+
 def test_np_of_a_monomial_takes_half_of_l(monkeypatch, capsys):
     """np never takes the closed form: np x^3 7 runs one half-L polynomial
     and its valuations (the benchmark's tracer probe relies on this)."""
@@ -850,8 +861,18 @@ def test_cli_crosscheck_checks_the_closed_form(monkeypatch, capsys):
     closed form of scan rows to the full L."""
     assert main(["crosscheck", "x^3", "5"]) == 0
     assert "character-independence  pass" in capsys.readouterr().out
-    monkeypatch.setattr(cli_module, "monomial_polygon", lambda d, p: hodge_polygon(d))
+    monkeypatch.setattr(scan_module, "monomial_polygon", lambda d, p: hodge_polygon(d))
     assert main(["crosscheck", "x^3", "5"]) == 4
+    out = capsys.readouterr()
+    assert "character-independence  FAIL" in out.out.splitlines()
+    assert "invariant violation" in out.err
+
+
+def test_cli_crosscheck_checks_the_scan_route_of_any_f(monkeypatch, capsys):
+    """The character-independence line holds the route scan rows take to the
+    full L for every f, not only for a shifted monomial."""
+    monkeypatch.setattr(scan_module, "np_at_prime", lambda f, p, *args: hodge_polygon(3))
+    assert main(["crosscheck", "x^3+x", "5"]) == 4
     out = capsys.readouterr()
     assert "character-independence  FAIL" in out.out.splitlines()
     assert "invariant violation" in out.err
