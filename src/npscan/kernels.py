@@ -403,11 +403,3 @@ def find_first_root(field: FiniteField, int_coeffs: tuple[int, ...]) -> int:
             return start + int(zero_rows[0])
     raise ValueError("polynomial has no root in the field")
 
-
-def naive_trace_histogram(fbar: FieldPolynomial) -> list[int]:
-    """Pure-Python twin of trace_histogram, for oracle tests and tiny fields."""
-    field = fbar.field
-    hist = [0] * field.p
-    for x in field.elements():
-        hist[field.trace(fbar(x))] += 1
-    return hist

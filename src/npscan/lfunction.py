@@ -23,10 +23,12 @@ K = (d-1) // 2 and enumerates no field larger than F_(q^K), and
 newton_polygon fills in the other half; np_at_prime takes this path.
 Without half=True, l_polynomial is the full, exact path.
 
-For f = (x + b)^d + c no field needs enumerating at all: Stickelberger's
-theorem on Gauss sums gives NP_p(f) as a function of p mod d alone, and
-monomial_polygon computes it once per residue class.  Scan rows of such
-an f take it, after check_half_l_budget, the budget rule of half of L;
+Two closed forms need no field enumerated at all.  For f = (x + b)^d + c,
+Stickelberger's theorem on Gauss sums gives NP_p(f) as a function of
+p mod d alone, and monomial_polygon computes it once per residue class.
+For every f at p = 1 mod d, Adolphson-Sperber (Ann. of Math. 130, 1989)
+give NP_p(f) = HP, the Hodge polygon.  Scan rows take them, in that
+order, after check_half_l_budget, the budget rule of half of L;
 np_at_prime and the full L stay on the enumeration.  crosscheck holds the
 scan row of f, whichever route scan_record takes for it, to the full L.
 """

@@ -13,11 +13,12 @@ with no global permutation factor) backs no verdict, though gap_witness
 counts it.
 
 NP_p(f) comes from half of the L-polynomial (np_at_prime).  scan_record
-owns the route: where its caller allows it (closed_form: run_scan and
-crosscheck do, npscan np does not) and f itself is (x + b)^d + c, a row
-takes Stickelberger's closed form (monomial_polygon) after the same budget
-check, with the same bytes, no field enumerated and one polygon per class
-of p mod d.
+owns the route.  Where its caller allows the closed forms (closed_form:
+run_scan and crosscheck do, npscan np does not), a row takes
+Stickelberger's polygon (monomial_polygon) when f itself is
+(x + b)^d + c, and the Hodge polygon at p = 1 mod d for every other f
+(Adolphson-Sperber: NP = HP there).  Either runs the same place and
+budget checks as half of L, prints the same bytes and enumerates no field.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 this module is the only one that writes a record or reads one back.  An
@@ -242,9 +243,12 @@ def scan_record(
 ) -> ScanRecord:
     """Compute one record; budget blowups land in the error field.
 
-    closed_form allows, and does not assert, the closed form: a row of
-    f = (x + b)^d + c then comes from monomial_polygon after half of L's
-    budget check, and every other row from half of L."""
+    closed_form allows, and does not assert, the closed forms.  After half
+    of L's place checks (gcd(d, p) = 1, p-integral f) and budget check, a
+    row of
+    f = (x + b)^d + c then comes from monomial_polygon (Stickelberger), a
+    row of any other monic f at p = 1 mod d from hodge_polygon
+    (Adolphson-Sperber), and every other row from half of L."""
     if not is_prime(p):  # before char % p reads it
         raise NotPrime(f"{p} is not prime")
     fq = ratpoly.as_poly(f)
@@ -255,9 +259,13 @@ def scan_record(
         return ScanRecord(p, char, d, None, admissible, None, "character index divisible by p")
     t0 = time.perf_counter()
     try:
-        if closed_form and _is_shifted_monomial(fq):
+        monomial = closed_form and _is_shifted_monomial(fq)  # Stickelberger
+        hodge = closed_form and d >= 2 and p % d == 1 and ratpoly.is_monic(fq)  # Adolphson-Sperber
+        if monomial or hodge:
+            if d % p == 0 or any(c.denominator % p == 0 for c in fq):  # a bad place
+                np_at_prime(fq, p)  # raises half of L's BadPlace before it enumerates
             check_half_l_budget(p, d, budget)
-            poly = monomial_polygon(d, p)
+            poly = monomial_polygon(d, p) if monomial else hodge_polygon(d)
         else:
             poly = np_at_prime(fq, p, c_eff, budget)
     except BudgetExceeded as exc:
@@ -269,14 +277,15 @@ def scan_record(
 def validate_record(rec: ScanRecord) -> None:
     """Hard, theorem-backed assertions; a failure is a build-failing event.
 
-    A fresh row's polygon comes from half of L, or from the closed form
-    for a shifted monomial, so its endpoint and its half past
-    K = (d-1) // 2 hold by construction; those checks still bite on cached
-    rows.  The computed half is checked against Hodge here and in
-    newton_polygon; the full-path comparison is crosscheck's
-    character-independence line and the tests.  The checks that read the
-    polygon alone run once per distinct polygon (_polygon_columns); every
-    row still asserts them, and those that read p or the hint.
+    A fresh row's polygon comes from half of L or from a closed form, so
+    its endpoint and its half past K = (d-1) // 2 hold by construction,
+    and so does NP = HP at p = 1 mod d, where scan rows take the Hodge
+    polygon; those checks still bite on cached rows.  The computed half
+    is checked against Hodge here and in newton_polygon; the full-path
+    comparison is crosscheck's character-independence line and the tests.
+    The checks that read the polygon alone run once per distinct polygon
+    (_polygon_columns); every row still asserts them, and those that read
+    p or the hint.
     """
     if rec.error is not None or rec.polygon is None:
         return

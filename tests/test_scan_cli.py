@@ -10,6 +10,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from npscan import cli as cli_module, lfunction, scan as scan_module
 from npscan.cli import main, parse_poly
 from npscan.cyclotomic import CycInt
 from npscan.dickson import DicksonSpec, dickson
-from npscan.errors import InvariantViolation, MissingOrigin
+from npscan.errors import BadPlace, InvariantViolation, MissingOrigin
 from npscan.polygons import hodge_polygon, lower_hull, vertical_gap
 from npscan.scan import (
     CACHE_VERSION,
@@ -416,11 +417,23 @@ def test_scan_of_a_non_monomial_takes_half_of_l(monkeypatch, f):
     assert records and all(rec.polygon is not None for rec in records)
 
 
-@pytest.mark.parametrize("poly", ["x^3", "x^3+x", "x^4+x", "3,3,3,1", "x^5+x", "dickson(5,1)"])
+def _random_monic(d, seed):
+    """Ascending integer coefficients of a seeded random monic f of degree d."""
+    rng = random.Random(seed)
+    return ",".join([str(rng.randint(-9, 9)) for _ in range(d)] + ["1"])
+
+
+RANDOM_MONIC = [_random_monic(d, seed=d) for d in range(3, 8)]
+
+
+@pytest.mark.parametrize(
+    "poly", ["x^3", "x^3+x", "x^4+x", "3,3,3,1", "x^5+x", "dickson(5,1)", *RANDOM_MONIC]
+)
 def test_closed_form_flag_keeps_every_row(poly):
-    """closed_form only allows the closed form: scan_record takes it where f
-    is a shifted monomial ("3,3,3,1" is (x + 1)^3 + 2) and half of L
-    elsewhere, so every row renders as it does without the flag."""
+    """closed_form only allows the closed forms: scan_record takes
+    Stickelberger's where f is a shifted monomial ("3,3,3,1" is
+    (x + 1)^3 + 2), Hodge's at p = 1 mod d and half of L elsewhere, so
+    every row renders as half of L renders it."""
     f = parse_poly(poly)
     for p in good_places(f, 60):
         allowed = scan_record(f, p, timing=False, closed_form=True)
@@ -477,6 +490,43 @@ def test_monomial_scan_prints_the_half_l_bytes(tmp_path, capsys):
         assert f"errors={n_errors}" in out.err
         assert sum(1 for row in out.out.splitlines()[1:] if ",1,3,,," in row) == n_errors
     assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 16
+
+
+def test_hodge_scan_rows_enumerate_nothing_and_keep_their_bytes(monkeypatch, tmp_path, capsys):
+    """Rows at p = 1 mod d come from the Hodge polygon, never from half of L,
+    and print the bytes they printed when they came from half of L (sha256
+    taken then): plain, under budgets that refuse rows, and from a cache
+    written and then replayed.  --jobs workers may run without the patch,
+    so their runs are checked by digest alone."""
+    x3x = ["scan", "x^3+x", "--p-max", "60", "--no-timing"]
+    runs = [
+        (x3x, "c71bcb34bb77ed1d07d31056a32a019f9434d7f4b3629d68fcf8a9ab5ec1e77e", 0),
+        (x3x + ["--budget", "10"],
+         "788ecf3495bc5ca2440ac25ba49abc7207b3d8f0eac910edeb61c6f013600f54", 13),
+        (["scan", "dickson(5,1)", "--p-max", "60", "--budget", "100", "--no-timing"],
+         "f064da505c39739f9391e754400be4d49b56934b2d51bb821beb9757a360c85b", None),
+    ]
+    half_l = scan_module.np_at_prime
+
+    def refuse_hodge_rows(f, p, *args):
+        if p % ratpoly.degree(ratpoly.as_poly(f)) == 1:
+            raise AssertionError(f"half of L asked for a row at p = {p} = 1 mod d")
+        return half_l(f, p, *args)
+
+    for i, (argv, digest, n_errors) in enumerate(runs):
+        cache = ["--cache", str(tmp_path / f"c{i}.jsonl")]
+        with monkeypatch.context() as patched:
+            patched.setattr(scan_module, "np_at_prime", refuse_hodge_rows)
+            outs = []
+            for extra in ([], cache, cache):  # the second cache run replays
+                assert main(argv + extra) == 0, argv + extra
+                outs.append(capsys.readouterr())
+        assert main(argv + ["--jobs", "2"]) == 0, argv
+        outs.append(capsys.readouterr())
+        for out in outs:
+            assert hashlib.sha256(out.out.encode()).hexdigest() == digest, argv
+            if n_errors is not None:
+                assert f"errors={n_errors}" in out.err
 
 
 def test_closed_form_rows_are_validated(monkeypatch):
@@ -863,6 +913,41 @@ def test_cli_crosscheck_checks_the_closed_form(monkeypatch, capsys):
     assert "character-independence  pass" in capsys.readouterr().out
     monkeypatch.setattr(scan_module, "monomial_polygon", lambda d, p: hodge_polygon(d))
     assert main(["crosscheck", "x^3", "5"]) == 4
+    out = capsys.readouterr()
+    assert "character-independence  FAIL" in out.out.splitlines()
+    assert "invariant violation" in out.err
+
+
+def test_theorem_routes_check_the_place_first():
+    """The closed forms refuse a bad place with half of L's BadPlace: an f
+    that is not p-integral, a shifted monomial (Stickelberger) and
+    x^3 + x/7 (Hodge, as 7 = 1 mod 3) at p = 7, with reduce_mod_p's
+    message, and x^3 at p = 3, which divides d."""
+    cases = [
+        (ratpoly.poly_shift(X3, F(1, 7)), 7, "nonintegral"),
+        ((F(0), F(1, 7), F(0), F(1)), 7, "nonintegral"),
+        (X3, 3, "degree"),
+    ]
+    for f, p, cause in cases:
+        with pytest.raises(BadPlace) as want:
+            lfunction.np_at_prime(f, p)
+        for closed_form in (False, True):
+            with pytest.raises(BadPlace) as got:
+                scan_record(f, p, closed_form=closed_form)
+            assert (got.value.cause, str(got.value)) == (cause, str(want.value))
+        if cause == "nonintegral":
+            with pytest.raises(BadPlace) as reduced:
+                lfunction.reduce_mod_p(f, p)
+            assert str(reduced.value) == str(want.value)
+
+
+def test_cli_crosscheck_checks_the_hodge_route(monkeypatch, capsys):
+    """The character-independence line holds the Hodge route of scan rows
+    to the full L: 7 = 1 mod 3, and x^3 + x is no shifted monomial."""
+    assert main(["crosscheck", "x^3+x", "7"]) == 0
+    assert "character-independence  pass" in capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(scan_module, "hodge_polygon", lambda d: lfunction.monomial_polygon(d, 2))
+    assert main(["crosscheck", "x^3+x", "7"]) == 4
     out = capsys.readouterr()
     assert "character-independence  FAIL" in out.out.splitlines()
     assert "invariant violation" in out.err
