@@ -270,6 +270,16 @@ def reduce_mod_p(f: Sequence[Fraction], p: int) -> FieldPolynomial:
     return build_field(p, 1).poly([ratpoly.mod_p(c, p) for c in ratpoly.as_poly(f)])
 
 
+def check_place(f: Sequence[Fraction], p: int) -> None:
+    """BadPlace unless p is a good place of f: p does not divide deg f,
+    and f is p-integral."""
+    d = ratpoly.degree(f)
+    if math.gcd(d, p) != 1:
+        raise BadPlace(p, "degree", f"p = {p} divides d = {d}")
+    for c in f:
+        ratpoly.mod_p(c, p)
+
+
 def np_at_prime(
     f: Sequence, p: int, chi_index: int = 1, budget: int | None = None
 ) -> ConvexPolygon:
@@ -279,8 +289,7 @@ def np_at_prime(
     d = ratpoly.degree(fq)
     if d < 1 or not ratpoly.is_monic(fq):
         raise ValueError("f must be monic of degree >= 1")
-    if math.gcd(d, p) != 1:
-        raise BadPlace(p, "degree", f"p = {p} divides d = {d}")
+    check_place(fq, p)
     fbar = reduce_mod_p(fq, p)
     return newton_polygon(l_polynomial(fbar, Character(p, chi_index), budget, half=True))
 

@@ -47,7 +47,7 @@ from . import ratpoly
 from .dickson import DicksonSpec, find_dickson_factor, is_admissible
 from .errors import BudgetExceeded, InvariantViolation, NotPrime
 from .fields import is_prime
-from .lfunction import check_half_l_budget, monomial_polygon, np_at_prime
+from .lfunction import check_half_l_budget, check_place, monomial_polygon, np_at_prime
 from .polygons import ConvexPolygon, hodge_polygon, lies_above, vertical_gap
 
 CACHE_VERSION = "npscan-cache-1"
@@ -244,8 +244,7 @@ def scan_record(
     """Compute one record; budget blowups land in the error field.
 
     closed_form allows, and does not assert, the closed forms.  After half
-    of L's place checks (gcd(d, p) = 1, p-integral f) and budget check, a
-    row of
+    of L's place check (check_place) and budget check, a row of
     f = (x + b)^d + c then comes from monomial_polygon (Stickelberger), a
     row of any other monic f at p = 1 mod d from hodge_polygon
     (Adolphson-Sperber), and every other row from half of L."""
@@ -262,8 +261,7 @@ def scan_record(
         monomial = closed_form and _is_shifted_monomial(fq)  # Stickelberger
         hodge = closed_form and d >= 2 and p % d == 1 and ratpoly.is_monic(fq)  # Adolphson-Sperber
         if monomial or hodge:
-            if d % p == 0 or any(c.denominator % p == 0 for c in fq):  # a bad place
-                np_at_prime(fq, p)  # raises half of L's BadPlace before it enumerates
+            check_place(fq, p)
             check_half_l_budget(p, d, budget)
             poly = monomial_polygon(d, p) if monomial else hodge_polygon(d)
         else:
