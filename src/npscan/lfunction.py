@@ -277,7 +277,8 @@ def check_place(f: Sequence[Fraction], p: int) -> None:
     if math.gcd(d, p) != 1:
         raise BadPlace(p, "degree", f"p = {p} divides d = {d}")
     for c in f:
-        ratpoly.mod_p(c, p)
+        if c.denominator % p == 0:
+            ratpoly.mod_p(c, p)  # raises reduce_mod_p's BadPlace
 
 
 def np_at_prime(
