@@ -23,14 +23,15 @@ K = (d-1) // 2 and enumerates no field larger than F_(q^K), and
 newton_polygon fills in the other half; np_at_prime takes this path.
 Without half=True, l_polynomial is the full, exact path.
 
-Two closed forms need no field enumerated at all.  For f = (x + b)^d + c,
+One closed form needs no field enumerated at all.  For f = (x + b)^d + c,
 Stickelberger's theorem on Gauss sums gives NP_p(f) as a function of
 p mod d alone, and monomial_polygon computes it once per residue class.
-For every f at p = 1 mod d, Adolphson-Sperber (Ann. of Math. 130, 1989)
-give NP_p(f) = HP, the Hodge polygon.  Scan rows take them, in that
-order, after check_half_l_budget, the budget rule of half of L;
-np_at_prime and the full L stay on the enumeration.  crosscheck holds the
-scan row of f, whichever route scan_record takes for it, to the full L.
+At p = 1 mod d that polygon is HP, the Hodge polygon, and Adolphson-
+Sperber (Ann. of Math. 130, 1989) give NP_p(f) = HP there for every f of
+degree d.  Scan rows take it after check_place and check_half_l_budget,
+the place and budget rules of half of L; np_at_prime and the full L stay
+on the enumeration.  crosscheck holds the scan row of f, whichever route
+scan_record takes for it, to the full L.
 """
 
 from __future__ import annotations
@@ -239,7 +240,9 @@ def monomial_polygon(d: int, p: int) -> ConvexPolygon:
     and the root of unity chi(c) moves no valuation: the polygon depends
     on neither b, c nor the character.  The slopes read p only through
     p mod d, so the polygon is memoized per (d, p mod d): the primes of one
-    residue class share one ConvexPolygon.  The tests check it against
+    residue class share one ConvexPolygon.  At p = 1 mod d (r = 1) the
+    slopes are a/d, so the polygon is HP, and by Adolphson-Sperber it is
+    also NP_p(f) for every monic f of degree d.  The tests check it against
     np_at_prime, and crosscheck's character-independence line against the
     full L.
     """

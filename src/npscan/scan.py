@@ -13,12 +13,12 @@ with no global permutation factor) backs no verdict, though gap_witness
 counts it.
 
 NP_p(f) comes from half of the L-polynomial (np_at_prime).  scan_record
-owns the route.  Where its caller allows the closed forms (closed_form:
+owns the route.  Where its caller allows the closed form (closed_form:
 run_scan and crosscheck do, npscan np does not), a row takes
-Stickelberger's polygon (monomial_polygon) when f itself is
-(x + b)^d + c, and the Hodge polygon at p = 1 mod d for every other f
-(Adolphson-Sperber: NP = HP there).  Either runs the same place and
-budget checks as half of L, prints the same bytes and enumerates no field.
+Stickelberger's polygon (monomial_polygon) when f is (x + b)^d + c, and
+for every monic f at p = 1 mod d, where it is HP = NP_p(f)
+(Adolphson-Sperber).  It runs half of L's place and budget checks, prints
+the same bytes and enumerates no field.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 this module is the only one that writes a record or reads one back.  An
@@ -45,7 +45,7 @@ from typing import IO, Sequence
 
 from . import ratpoly
 from .dickson import DicksonSpec, find_dickson_factor, is_admissible
-from .errors import BudgetExceeded, InvariantViolation, NotPrime
+from .errors import BadPlace, BudgetExceeded, InvariantViolation, NotPrime
 from .fields import is_prime
 from .lfunction import check_half_l_budget, check_place, monomial_polygon, np_at_prime
 from .polygons import ConvexPolygon, hodge_polygon, lies_above, vertical_gap
@@ -74,12 +74,15 @@ CSV_COLUMNS = (
 def primes_upto(n: int) -> list[int]:
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
+    try:  # zeroed: a bytearray repeat that fails to allocate also prints a SystemError
+        composite = bytearray(n + 1)
+    except (MemoryError, OverflowError):  # n + 1 bytes exceed memory or an index
+        raise ValueError(f"cannot sieve the primes up to {n}") from None
+    composite[0] = composite[1] = 1
     for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, b in enumerate(sieve) if b]
+        if not composite[i]:
+            composite[i * i :: i] = b"\1" * ((n - i * i) // i + 1)
+    return [i for i, c in enumerate(composite) if not c]
 
 
 @dataclass(frozen=True)
@@ -203,14 +206,13 @@ class ScanSummary:
 
 
 def good_places(f: Sequence[Fraction], p_max: int) -> list[int]:
-    """Primes p <= p_max with p-integral coefficients and gcd(d, p) = 1."""
+    """Primes p <= p_max at which check_place raises no BadPlace."""
     fq = ratpoly.as_poly(f)
-    d = ratpoly.degree(fq)
     out = []
     for p in primes_upto(p_max):
-        if d % p == 0:
-            continue
-        if any(c.denominator % p == 0 for c in fq):
+        try:
+            check_place(fq, p)
+        except BadPlace:
             continue
         out.append(p)
     return out
@@ -218,14 +220,6 @@ def good_places(f: Sequence[Fraction], p_max: int) -> list[int]:
 
 def _admissible(p: int, hint: DicksonSpec | None) -> bool | None:
     return None if hint is None else is_admissible(p, hint.a, hint.n).admissible
-
-
-def _half_l_fits(p: int, d: int, budget: int | None) -> bool:
-    try:
-        check_half_l_budget(p, d, budget)
-    except BudgetExceeded:
-        return False
-    return True
 
 
 # a scan asks about one f on every row, so each row pays a dict lookup
@@ -243,11 +237,11 @@ def scan_record(
 ) -> ScanRecord:
     """Compute one record; budget blowups land in the error field.
 
-    closed_form allows, and does not assert, the closed forms.  After half
-    of L's place check (check_place) and budget check, a row of
-    f = (x + b)^d + c then comes from monomial_polygon (Stickelberger), a
-    row of any other monic f at p = 1 mod d from hodge_polygon
-    (Adolphson-Sperber), and every other row from half of L."""
+    closed_form allows, and does not assert, the closed form.  After half
+    of L's place check (check_place) and budget check, monomial_polygon
+    (Stickelberger) gives a row of f = (x + b)^d + c, and a row of any
+    monic f of degree >= 2 at p = 1 mod d, where it is HP = NP_p(f)
+    (Adolphson-Sperber).  Every other row comes from half of L."""
     if not is_prime(p):  # before char % p reads it
         raise NotPrime(f"{p} is not prime")
     fq = ratpoly.as_poly(f)
@@ -258,12 +252,12 @@ def scan_record(
         return ScanRecord(p, char, d, None, admissible, None, "character index divisible by p")
     t0 = time.perf_counter()
     try:
-        monomial = closed_form and _is_shifted_monomial(fq)  # Stickelberger
-        hodge = closed_form and d >= 2 and p % d == 1 and ratpoly.is_monic(fq)  # Adolphson-Sperber
-        if monomial or hodge:
+        # Stickelberger's polygon; at p = 1 mod d it is HP = NP_p(f) (Adolphson-Sperber)
+        if closed_form and (d >= 2 and p % d == 1 and ratpoly.is_monic(fq)
+                            or _is_shifted_monomial(fq)):
             check_place(fq, p)
             check_half_l_budget(p, d, budget)
-            poly = monomial_polygon(d, p) if monomial else hodge_polygon(d)
+            poly = monomial_polygon(d, p)
         else:
             poly = np_at_prime(fq, p, c_eff, budget)
     except BudgetExceeded as exc:
@@ -275,12 +269,12 @@ def scan_record(
 def validate_record(rec: ScanRecord) -> None:
     """Hard, theorem-backed assertions; a failure is a build-failing event.
 
-    A fresh row's polygon comes from half of L or from a closed form, so
-    its endpoint and its half past K = (d-1) // 2 hold by construction,
-    and so does NP = HP at p = 1 mod d, where scan rows take the Hodge
-    polygon; those checks still bite on cached rows.  The computed half
-    is checked against Hodge here and in newton_polygon; the full-path
-    comparison is crosscheck's character-independence line and the tests.
+    A fresh row's polygon comes from half of L or from the closed form, so
+    its endpoint and its half past K = (d-1) // 2 hold by construction;
+    those checks still bite on cached rows.  NP = HP at p = 1 mod d holds
+    Stickelberger's class polygon to a Hodge polygon built on its own.
+    The computed half is checked against Hodge here and in newton_polygon;
+    the full-path comparison is crosscheck's character-independence line.
     The checks that read the polygon alone run once per distinct polygon
     (_polygon_columns); every row still asserts them, and those that read
     p or the hint.
@@ -320,12 +314,14 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
         if rec is not None and (rec.p, rec.c, rec.d) != (p, opts.char % p, d):
             print(f"cache: the entry for p = {p} holds a record of p = {rec.p}, c = {rec.c},"
                   f" d = {rec.d}; recomputing it", file=sys.stderr)
-        elif rec is not None and _half_l_fits(p, d, opts.budget):
-            # admissible depends on this scan's hint, which the key leaves out;
-            # ms is settled here, so the renderers print what the record holds
-            cached[p] = replace(
-                rec, admissible=_admissible(p, hint), ms=rec.ms if opts.timing else None
-            )
+        elif rec is not None:
+            with contextlib.suppress(BudgetExceeded):
+                check_half_l_budget(p, d, opts.budget)
+                # admissible depends on this scan's hint, which the key leaves out;
+                # ms is settled here, so the renderers print what the record holds
+                cached[p] = replace(
+                    rec, admissible=_admissible(p, hint), ms=rec.ms if opts.timing else None
+                )
 
     compute = functools.partial(scan_record, fq, char=opts.char, budget=opts.budget, hint=hint,
                                 timing=opts.timing, closed_form=True)
@@ -336,7 +332,7 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
         if opts.jobs > 1 and len(todo) > 1:
             from concurrent.futures import ProcessPoolExecutor  # imported by parallel scans only
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=opts.jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(opts.jobs, len(todo))))
             stack.callback(pool.shutdown, cancel_futures=True)  # start no more on a raise
             fresh = pool.map(compute, todo)
         # each row is validated and cached as it comes out, so the rows
@@ -502,7 +498,10 @@ def cache_load(path: str) -> dict[str, ScanRecord]:
             if obj.get("version") != CACHE_VERSION:
                 continue
             try:
-                found[obj["key"]] = record_from_json(obj["record"])  # re-validates the polygon
+                rec = record_from_json(obj["record"])  # re-validates the polygon
+                if rec.polygon is None or rec.error is not None:  # cache_put writes neither
+                    raise ValueError("no polygon, or an error")
+                found[obj["key"]] = rec
             except Exception:
                 print(f"cache: invalid record at line {lineno} of {path}", file=sys.stderr)
     return found

@@ -148,6 +148,35 @@ def test_csv_deterministic_across_jobs():
     assert csv_text(1).splitlines()[0] == HEADER
 
 
+def test_jobs_pool_is_no_larger_than_the_rows(monkeypatch):
+    """--jobs asks for no more workers than there are rows to compute: a
+    fork-started pool forks every worker at its first task."""
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    records, _ = run_scan(X3, ScanOptions(p_max=30, jobs=64, timing=False))
+    assert len(records) == 9 and len(asked) == 1 and asked[0] <= 9
+    assert records == run_scan(X3, ScanOptions(p_max=30, timing=False))[0]
+
+
 def test_scan_error_row_for_bad_character():
     rec = scan_record(X3, 5, char=5)
     assert rec.error == "character index divisible by p"
@@ -379,6 +408,29 @@ def test_cache_entry_of_another_prime_is_recomputed(tmp_path, capsys):
     assert len(path.read_text().splitlines()) == len(entries) + 1
 
 
+def test_cache_line_without_a_polygon_or_with_an_error_is_recomputed(tmp_path, capsys):
+    """cache_put writes only rows with a polygon and no error, so a line
+    with blank vertices or with an error is an invalid record: its row is
+    recomputed and the scan prints what a clean scan prints."""
+    path = tmp_path / "cache.jsonl"
+    scan = ["scan", "x^3+x", "--p-max", "13", "--no-timing"]
+    assert main(scan) == 0
+    clean = capsys.readouterr()
+    assert main(scan + ["--cache", str(path)]) == 0
+    capsys.readouterr()
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    lineno = {e["record"]["p"]: i for i, e in enumerate(entries, 1)}
+    entries[lineno[7] - 1]["record"]["vertices"] = None
+    entries[lineno[11] - 1]["record"]["error"] = "budget-exceeded: edited"
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    assert main(scan + ["--cache", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out == clean.out
+    notes = [line for line in out.err.splitlines() if line.startswith("cache:")]
+    assert notes == [f"cache: invalid record at line {lineno[p]} of {path}" for p in (7, 11)]
+    assert [line for line in out.err.splitlines() if line not in notes] == clean.err.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # rows of a shifted monomial (x + b)^d + c, taken from Stickelberger's closed form
 
@@ -407,10 +459,15 @@ def test_shifted_monomial_scan_rows_equal_np_rows(d):
     ids=["x^3+x", "D_5(x,1)", "x^4+x^2"],
 )
 def test_scan_of_a_non_monomial_takes_half_of_l(monkeypatch, f):
+    """A non-monomial takes Stickelberger's polygon only at p = 1 mod d,
+    where it is HP (Adolphson-Sperber); every other row is half of L's."""
     assert not ratpoly.is_shifted_monomial(f)
+    closed_form = scan_module.monomial_polygon
 
-    def refuse(*args):
-        raise AssertionError("closed form used for a non-monomial")
+    def refuse(d, p):
+        if p % d != 1:
+            raise AssertionError(f"closed form used for a non-monomial at p = {p}")
+        return closed_form(d, p)
 
     monkeypatch.setattr(scan_module, "monomial_polygon", refuse)
     records, _ = run_scan(f, ScanOptions(p_max=13, timing=False))
@@ -423,21 +480,30 @@ def _random_monic(d, seed):
     return ",".join([str(rng.randint(-9, 9)) for _ in range(d)] + ["1"])
 
 
-RANDOM_MONIC = [_random_monic(d, seed=d) for d in range(3, 8)]
+RANDOM_MONIC = [_random_monic(d, seed=d) for d in range(3, 10)]
 
 
 @pytest.mark.parametrize(
     "poly", ["x^3", "x^3+x", "x^4+x", "3,3,3,1", "x^5+x", "dickson(5,1)", *RANDOM_MONIC]
 )
 def test_closed_form_flag_keeps_every_row(poly):
-    """closed_form only allows the closed forms: scan_record takes
-    Stickelberger's where f is a shifted monomial ("3,3,3,1" is
-    (x + 1)^3 + 2), Hodge's at p = 1 mod d and half of L elsewhere, so
-    every row renders as half of L renders it."""
+    """closed_form only allows the closed form: scan_record takes
+    Stickelberger's polygon where f is a shifted monomial ("3,3,3,1" is
+    (x + 1)^3 + 2) and at p = 1 mod d, and half of L elsewhere, so every
+    row renders as half of L renders it."""
     f = parse_poly(poly)
     for p in good_places(f, 60):
         allowed = scan_record(f, p, timing=False, closed_form=True)
         assert record_to_row(allowed) == record_to_row(scan_record(f, p, timing=False)), p
+
+
+@pytest.mark.parametrize("text, primes", [("x^3+x", (7, 13)), ("dickson(5,1)", (11, 31))])
+def test_rows_at_1_mod_d_share_one_polygon(text, primes):
+    """Every row at p = 1 mod d takes the class polygon of d, memoized once,
+    and it is the Hodge polygon."""
+    f = parse_poly(text)
+    first, second = (scan_record(f, p, timing=False, closed_form=True).polygon for p in primes)
+    assert first is second and first == hodge_polygon(ratpoly.degree(f))
 
 
 def test_np_of_a_monomial_takes_half_of_l(monkeypatch, capsys):
@@ -493,7 +559,7 @@ def test_monomial_scan_prints_the_half_l_bytes(tmp_path, capsys):
 
 
 def test_hodge_scan_rows_enumerate_nothing_and_keep_their_bytes(monkeypatch, tmp_path, capsys):
-    """Rows at p = 1 mod d come from the Hodge polygon, never from half of L,
+    """Rows at p = 1 mod d come from the closed form, never from half of L,
     and print the bytes they printed when they came from half of L (sha256
     taken then): plain, under budgets that refuse rows (all of D_5's Hodge
     rows among them), and from a cache written and then replayed.  The
@@ -770,6 +836,15 @@ def test_cli_exit_codes():
     assert cli("crosscheck", "x^2", "3").returncode == 0
 
 
+@pytest.mark.parametrize("p_max", ["4611686018427387904", "9223372036854775808"])
+def test_cli_scan_past_the_sieve_exits_2(capsys, p_max):
+    """A --p-max whose sieve cannot be allocated (MemoryError) or indexed
+    (OverflowError) is a usage error naming the bound; both fail before
+    any memory is taken."""
+    assert main(["scan", "x^3", "--p-max", p_max]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot sieve the primes up to {p_max}\n")
+
+
 def test_cli_rejects_options_a_subcommand_ignores(tmp_path, capsys):
     cache = tmp_path / "c.jsonl"
     for argv in (
@@ -919,9 +994,9 @@ def test_cli_crosscheck_checks_the_closed_form(monkeypatch, capsys):
 
 
 def test_theorem_routes_check_the_place_first():
-    """The closed forms refuse a bad place with half of L's BadPlace: a
-    shifted monomial (Stickelberger) and x^3 + x/7 (Hodge, as 7 = 1 mod 3)
-    that are not 7-integral, and x^3 at p = 3, which divides d."""
+    """The closed form refuses a bad place with half of L's BadPlace: a
+    shifted monomial and x^3 + x/7 (7 = 1 mod 3) that are not 7-integral,
+    and x^3 at p = 3, which divides d."""
     cases = [
         (ratpoly.poly_shift(X3, F(1, 7)), 7, "nonintegral"),
         ((F(0), F(1, 7), F(0), F(1)), 7, "nonintegral"),
@@ -937,11 +1012,13 @@ def test_theorem_routes_check_the_place_first():
 
 
 def test_cli_crosscheck_checks_the_hodge_route(monkeypatch, capsys):
-    """The character-independence line holds the Hodge route of scan rows
-    to the full L: 7 = 1 mod 3, and x^3 + x is no shifted monomial."""
+    """The character-independence line holds the closed form of scan rows
+    at p = 1 mod d to the full L: 7 = 1 mod 3, and x^3 + x is no shifted
+    monomial."""
     assert main(["crosscheck", "x^3+x", "7"]) == 0
     assert "character-independence  pass" in capsys.readouterr().out.splitlines()
-    monkeypatch.setattr(scan_module, "hodge_polygon", lambda d: lfunction.monomial_polygon(d, 2))
+    supersingular = lfunction.monomial_polygon(3, 2)
+    monkeypatch.setattr(scan_module, "monomial_polygon", lambda d, p: supersingular)
     assert main(["crosscheck", "x^3+x", "7"]) == 4
     out = capsys.readouterr()
     assert "character-independence  FAIL" in out.out.splitlines()
