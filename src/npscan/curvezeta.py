@@ -18,9 +18,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import ratpoly
+from ._numpy import np
 from .cyclotomic import CycInt, as_rational_integer, int_valuation, poly_mul
 from .errors import DegreeCharClash, InternalDivisibility
 from .fields import FieldPolynomial, check_enum_budget

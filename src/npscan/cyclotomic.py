@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NotAUnit, NotDivisible, NotPrime, NotRational, PrimeMismatch
 from .fields import is_prime
 

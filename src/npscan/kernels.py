@@ -64,8 +64,7 @@ import functools
 import math
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BudgetExceeded
 from .fields import FieldElement, FieldPolynomial, FiniteField
 
@@ -249,7 +248,7 @@ def _find_generator(field: FiniteField):
     raise AssertionError("no generator found")  # unreachable for e >= 2
 
 
-def _powers_rows(step: np.ndarray, count: int, p: int, dtype=np.int64) -> np.ndarray:
+def _powers_rows(step: np.ndarray, count: int, p: int, dtype) -> np.ndarray:
     """Digit rows of y^0 .. y^(count-1) in dtype, step the multiplication
     matrix of y (or a stack of them), built by block doubling.  Products
     run in int64 on chunks of about _CHUNK entries, so no int64 copy of the
@@ -288,7 +287,7 @@ def _zech_field(field: FiniteField) -> _ZechField:
     H = tr_xk[np.add.outer(np.arange(e), np.arange(e))]
     xB = field.from_index(p) ** B  # element p is x, as e >= 2
     (XB,) = _mul_matrices(field, np.array([xB.coeffs], dtype=np.int64))
-    S = _powers_rows(XB, e, p)  # row i is x^(i B) = (x^B)^i
+    S = _powers_rows(XB, e, p, np.int64)  # row i is x^(i B) = (x^B)^i
     for a in (G, H, S):
         a.flags.writeable = False
     return _ZechField(B, q // B, G, H, S)
@@ -301,7 +300,7 @@ def _term_rows(field: FiniteField, ks: list[int]) -> np.ndarray:
     over their multiplication matrices.  Under the default budget the
     largest table is F_{463^3}'s, 463^2 * 3 two-byte digits = 1.29 MB."""
     z, p = _zech_field(field), field.p
-    digits = _powers_rows(z.G, max(ks) + 1, p)[ks]
+    digits = _powers_rows(z.G, max(ks) + 1, p, np.int64)[ks]
     return _powers_rows(_mul_matrices(field, digits), z.A, p, np.min_scalar_type(p - 1))
 
 

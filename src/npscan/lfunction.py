@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import kernels, ratpoly
+from ._numpy import np
 from .cyclotomic import CycInt, exact_div_int, pi_valuation
 from .errors import (
     BadPlace,

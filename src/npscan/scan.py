@@ -222,8 +222,22 @@ def _admissible(p: int, hint: DicksonSpec | None) -> bool | None:
     return None if hint is None else is_admissible(p, hint.a, hint.n).admissible
 
 
-# a scan asks about one f on every row, so each row pays a dict lookup
-_is_shifted_monomial = functools.lru_cache(maxsize=64)(ratpoly.is_shifted_monomial)
+@dataclass(frozen=True)
+class _ScanPolynomial:
+    """f with what picks a row's route, settled once for every row of a
+    scan.  scan_record takes a prime that comes with one as a good place:
+    run_scan's primes come from good_places, which sieved them and ran
+    check_place on each."""
+
+    f: tuple[Fraction, ...]  # ratpoly.as_poly(f)
+    d: int
+    monic: bool
+    shifted: bool  # (x + b)^d + c
+
+    @classmethod
+    def of(cls, f: Sequence[Fraction]) -> _ScanPolynomial:
+        fq = ratpoly.as_poly(f)
+        return cls(fq, ratpoly.degree(fq), ratpoly.is_monic(fq), ratpoly.is_shifted_monomial(fq))
 
 
 def scan_record(
@@ -241,11 +255,15 @@ def scan_record(
     of L's place check (check_place) and budget check, monomial_polygon
     (Stickelberger) gives a row of f = (x + b)^d + c, and a row of any
     monic f of degree >= 2 at p = 1 mod d, where it is HP = NP_p(f)
-    (Adolphson-Sperber).  Every other row comes from half of L."""
-    if not is_prime(p):  # before char % p reads it
-        raise NotPrime(f"{p} is not prime")
-    fq = ratpoly.as_poly(f)
-    d = ratpoly.degree(fq)
+    (Adolphson-Sperber).  Every other row comes from half of L.  run_scan
+    passes f as a _ScanPolynomial and skips the checks it settled per scan:
+    the primality of p and the place check of the closed form."""
+    settled = isinstance(f, _ScanPolynomial)
+    if not settled:
+        if not is_prime(p):  # before char % p reads it
+            raise NotPrime(f"{p} is not prime")
+        f = _ScanPolynomial.of(f)
+    d = f.d
     admissible = _admissible(p, hint)
     c_eff = char % p
     if c_eff == 0:
@@ -253,13 +271,13 @@ def scan_record(
     t0 = time.perf_counter()
     try:
         # Stickelberger's polygon; at p = 1 mod d it is HP = NP_p(f) (Adolphson-Sperber)
-        if closed_form and (d >= 2 and p % d == 1 and ratpoly.is_monic(fq)
-                            or _is_shifted_monomial(fq)):
-            check_place(fq, p)
+        if closed_form and (d >= 2 and p % d == 1 and f.monic or f.shifted):
+            if not settled:
+                check_place(f.f, p)
             check_half_l_budget(p, d, budget)
             poly = monomial_polygon(d, p)
         else:
-            poly = np_at_prime(fq, p, c_eff, budget)
+            poly = np_at_prime(f.f, p, c_eff, budget)
     except BudgetExceeded as exc:
         return ScanRecord(p, c_eff, d, None, admissible, None, f"budget-exceeded: {exc}")
     ms = int((time.perf_counter() - t0) * 1000) if timing else None
@@ -294,9 +312,9 @@ def validate_record(rec: ScanRecord) -> None:
 
 def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
     """Scan all good places up to opts.p_max; returns (records, summary)."""
-    fq = ratpoly.as_poly(f)
-    d = ratpoly.degree(fq)
-    if d < 1 or not ratpoly.is_monic(fq):
+    scan_f = _ScanPolynomial.of(f)
+    fq, d = scan_f.f, scan_f.d
+    if d < 1 or not scan_f.monic:
         raise ValueError("f must be monic of degree >= 1")
     hint = opts.hint
     if hint is None and opts.auto_hint:
@@ -323,8 +341,9 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
                     rec, admissible=_admissible(p, hint), ms=rec.ms if opts.timing else None
                 )
 
-    compute = functools.partial(scan_record, fq, char=opts.char, budget=opts.budget, hint=hint,
-                                timing=opts.timing, closed_form=True)
+    # every p is a good place from good_places, so each row skips those checks
+    compute = functools.partial(scan_record, scan_f, char=opts.char, budget=opts.budget,
+                                hint=hint, timing=opts.timing, closed_form=True)
     todo = [p for p in primes if p not in cached]
     ordered: list[ScanRecord] = []
     with contextlib.ExitStack() as stack:
