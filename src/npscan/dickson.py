@@ -111,6 +111,15 @@ class AdmissibleTriple:
         return self.p_integral and self.p_coprime_6n and self.dickson_permutes
 
 
+def _admissibility_gates(p: int, a: Fraction, n: int) -> tuple[bool, bool, bool]:
+    """(p_integral, p_coprime_6n, dickson_permutes) for a prime p and n > 1,
+    which the caller vouches for: this runs no primality test."""
+    p_integral = a.denominator % p != 0
+    # a mod p is zero iff p divides the numerator
+    permutes = p_integral and _dickson_permutes(n, p, a.numerator % p == 0)
+    return p_integral, (6 * n) % p != 0, permutes
+
+
 def is_admissible(p: int, a, n: int) -> AdmissibleTriple:
     """Check the admissibility gates for the triple (p, a, n), n > 1."""
     if n <= 1:
@@ -118,12 +127,7 @@ def is_admissible(p: int, a, n: int) -> AdmissibleTriple:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     a = Fraction(a)
-    p_integral = a.denominator % p != 0
-    p_coprime = (6 * n) % p != 0
-    permutes = False
-    if p_integral:  # a mod p is zero iff p divides the numerator
-        permutes = _dickson_permutes(n, p, a.numerator % p == 0)
-    return AdmissibleTriple(p, a, n, p_integral, p_coprime, permutes)
+    return AdmissibleTriple(p, a, n, *_admissibility_gates(p, a, n))
 
 
 def gpp_over_q(n: int, a) -> bool:
@@ -262,10 +266,15 @@ def recognize_dickson(u) -> DicksonForm | None:
 
 @dataclass(frozen=True)
 class DicksonSpec:
-    """A Dickson factor hint (n, a) for prime scans."""
+    """A Dickson factor hint (n, a) for prime scans; n > 1, as in
+    is_admissible, so a scan checks its hint once, when it is made."""
 
     n: int
     a: Fraction
+
+    def __post_init__(self):
+        if self.n <= 1:
+            raise ValueError("n must be > 1")
 
 
 @dataclass(frozen=True)

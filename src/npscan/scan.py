@@ -12,24 +12,20 @@ A gap at a prime that is not admissible (small primes show some for f
 with no global permutation factor) backs no verdict, though gap_witness
 counts it.
 
-NP_p(f) comes from half of the L-polynomial (np_at_prime).  scan_record
-owns the route.  Where its caller allows the closed form (closed_form:
-run_scan and crosscheck do, npscan np does not), a row takes
-Stickelberger's polygon (monomial_polygon) when f is (x + b)^d + c, and
-for every monic f at p = 1 mod d, where it is HP = NP_p(f)
-(Adolphson-Sperber).  It runs half of L's place and budget checks, prints
-the same bytes and enumerates no field.
+NP_p(f) comes from half of the L-polynomial (np_at_prime) or, where the
+caller of scan_record allows it, from Stickelberger's closed form
+(monomial_polygon; scan_record says when): the same bytes, no field.
 
 Records serialize to a fixed CSV schema and to JSON with [num, den] pairs;
 this module is the only one that writes a record or reads one back.  An
 append-only JSON-lines cache keyed by a content hash skips recomputation
 of the rows this scan's budget would let it compute.  A record stores only
-what its prime's computation produced; the flags are derived from its
-polygon, so a cache line replays its stored fields only.  The columns
-derived from a polygon and the validation checks that read the polygon
-alone are computed once per distinct (polygon, d), in a cache keyed by
-the polygon's value: rows of one residue class, rows from --jobs workers
-and cache replays share it.
+what its prime's computation produced, so a cache line replays its stored
+fields only.  What a row reads off its polygon (the flags, their CSV cells
+and the polygon-only checks) is computed once per distinct (polygon, d),
+keyed by the polygon's value: rows of one residue class, rows from --jobs
+workers and cache replays share it.  A row renders only p, c, d, p mod d,
+admissible and ms.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ from fractions import Fraction
 from typing import IO, Sequence
 
 from . import ratpoly
-from .dickson import DicksonSpec, find_dickson_factor, is_admissible
+from .dickson import DicksonSpec, _admissibility_gates, find_dickson_factor
 from .errors import BadPlace, BudgetExceeded, InvariantViolation, NotPrime
 from .fields import is_prime
 from .lfunction import check_half_l_budget, check_place, monomial_polygon, np_at_prime
@@ -103,11 +99,9 @@ class ScanOptions:
 class ScanRecord:
     """One prime's worth of scan output: what its computation produced.
 
-    polygon is None on an error row.  The columns read off the polygon
-    (gap, np_eq_hp, slopes, v0, slope_mult_ge2) come from the scan's
-    per-polygon cache (_polygon_columns), so a record always agrees with
-    its own vertices, and rows with equal polygons share one computation;
-    they are None when the polygon is.
+    polygon is None on an error row, and so are the columns read off it
+    (gap, np_eq_hp, slopes, v0, slope_mult_ge2).  They come from
+    _polygon_columns, so a record always agrees with its own vertices.
     """
 
     p: int
@@ -164,13 +158,12 @@ class PolygonColumns:
     slope_mult_ge2: bool | None
     wide_gap: bool  # gap >= 1/(2d)
     defect: str | None
+    cells: tuple[str, ...] | None  # CSV: vertices, slopes, gap, np_eq_hp, slope_mult_ge2, v0
 
 
-_NO_POLYGON = PolygonColumns(None, None, None, None, None, False, None)
+_NO_POLYGON = PolygonColumns(None, None, None, None, None, False, None, None)
 
 
-# Keyed by the polygon's value, not its identity, so the rows of one
-# residue class, rows from --jobs workers and cache replays share an entry.
 # A scan meets few distinct polygons: a shifted monomial at most d - 1.
 @functools.lru_cache(maxsize=256)
 def _polygon_columns(poly: ConvexPolygon, d: int) -> PolygonColumns:
@@ -183,9 +176,9 @@ def _polygon_columns(poly: ConvexPolygon, d: int) -> PolygonColumns:
     slopes = poly.slope_multiset()
     v0 = next((s for s, length in slopes if length >= 2), None)
     gap = vertical_gap(poly, hp)
-    return PolygonColumns(
-        gap, poly == hp, slopes, v0, v0 is not None, gap >= Fraction(1, 2 * d), defect
-    )
+    np_eq_hp, mult = poly == hp, v0 is not None
+    cells = tuple(map(_csv_cell, (poly.vertices, slopes, gap, np_eq_hp, mult, v0)))
+    return PolygonColumns(gap, np_eq_hp, slopes, v0, mult, gap >= Fraction(1, 2 * d), defect, cells)
 
 
 @dataclass(frozen=True)
@@ -219,7 +212,8 @@ def good_places(f: Sequence[Fraction], p_max: int) -> list[int]:
 
 
 def _admissible(p: int, hint: DicksonSpec | None) -> bool | None:
-    return None if hint is None else is_admissible(p, hint.a, hint.n).admissible
+    """is_admissible(p, hint.a, hint.n).admissible, for a prime p."""
+    return None if hint is None else all(_admissibility_gates(p, hint.a, hint.n))
 
 
 @dataclass(frozen=True)
@@ -429,7 +423,13 @@ def _json_value(v):
 
 
 def record_to_row(rec: ScanRecord) -> list[str]:
-    return [_csv_cell(v) for v in record_values(rec)]
+    """[_csv_cell(v) for v in record_values(rec)], with the polygon's cells
+    rendered once per polygon by _polygon_columns."""
+    if rec.polygon is None:  # an error row
+        return [_csv_cell(v) for v in record_values(rec)]
+    vertices, slopes, gap, np_eq_hp, mult, v0 = rec._columns.cells
+    return [str(rec.p), str(rec.c), str(rec.d), vertices, slopes, gap, np_eq_hp,
+            str(rec.p_mod_d), _csv_cell(rec.admissible), mult, v0, _csv_cell(rec.ms)]
 
 
 def record_to_json(rec: ScanRecord) -> dict:

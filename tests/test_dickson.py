@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from npscan.dickson import (
+    _admissibility_gates,
     compose,
     decompose,
     dickson,
@@ -169,6 +170,32 @@ def test_admissible_permutation_gate_is_the_field_criterion():
                 if t.p_integral:
                     want = dickson_perm_criterion(n, build_field(p, 1).element(ratpoly.mod_p(a, p)))
                     assert t.dickson_permutes == want, (p, a, n)
+
+
+def test_admissibility_gates_agree_with_is_admissible():
+    """The gates scan rows take without a primality test, against
+    is_admissible and against their definitions: a p-integral, gcd(6n, p)
+    = 1 and the field criterion on a mod p.  The grid has p | 6n, p | num(a)
+    and p | den(a)."""
+    avals = (F(0), F(1), F(-1), F(2), F(6), F(1, 3), F(-2, 5), F(7, 2))
+    seen = set()
+    for p in (p for p in range(2, 501) if is_prime(p)):
+        for a in avals:
+            for n in range(2, 16):
+                gates = _admissibility_gates(p, a, n)
+                t = is_admissible(p, a, n)
+                assert gates == (t.p_integral, t.p_coprime_6n, t.dickson_permutes), (p, a, n)
+                assert all(gates) == t.admissible, (p, a, n)
+                p_integral = a.denominator % p != 0
+                abar = build_field(p, 1).element(ratpoly.mod_p(a, p)) if p_integral else None
+                want = (p_integral, math.gcd(6 * n, p) == 1,
+                        p_integral and dickson_perm_criterion(n, abar))
+                assert gates == want, (p, a, n)
+                seen.update(k for k, hit in (("6n", (6 * n) % p == 0),
+                                             ("num", a.numerator % p == 0 and a != 0),
+                                             ("den", not p_integral),
+                                             ("admissible", all(gates))) if hit)
+    assert seen == {"6n", "num", "den", "admissible"}
 
 
 def test_shifted_monomial_scan_builds_no_field():

@@ -6,6 +6,7 @@ exit codes, and stream separation are exercised exactly as a user sees them.
 
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -33,11 +34,13 @@ from npscan.scan import (
     cache_load,
     cache_key,
     cache_put,
+    _csv_cell,
     good_places,
     primes_upto,
     record_from_json,
     record_to_json,
     record_to_row,
+    record_values,
     run_scan,
     scan_record,
     validate_record,
@@ -659,6 +662,30 @@ def test_rows_with_equal_polygons_share_their_columns(tmp_path):
     assert two.polygon is not three.polygon and two._columns is three._columns
 
 
+@pytest.mark.parametrize("f, p_max, char, budget, hint", [
+    ("x^3+x", 120, 5, 80, DicksonSpec(3, F(-1, 3))),  # never admissible: 3 | p^2 - 1
+    ("x^3", 200, 7, None, None),  # D_3(x, 0) by auto-hint: admissible or not
+])
+def test_rows_render_as_their_values(tmp_path, f, p_max, char, budget, hint):
+    """record_to_row, which takes the polygon's cells from _polygon_columns,
+    prints what the per-cell rendering of record_values prints, on
+    closed-form and half-L rows, budget and character error rows, timed
+    rows and their cache replays."""
+    opts = ScanOptions(p_max=p_max, char=char, budget=budget, hint=hint,
+                       cache_path=str(tmp_path / "cache.jsonl"))
+    fresh, _ = run_scan(parse_poly(f), opts)
+    replayed, _ = run_scan(parse_poly(f), opts)
+    for rec in fresh + replayed:
+        assert record_to_row(rec) == [_csv_cell(v) for v in record_values(rec)], rec
+    errors = {rec.error.split(":")[0] for rec in fresh if rec.error}
+    assert errors == ({"character index divisible by p", "budget-exceeded"} if budget
+                      else {"character index divisible by p"})
+    # x^3 + x takes the closed form at p = 1 mod 3 only, and half of L at 2 mod 3
+    assert {rec.p_mod_d for rec in fresh if rec.polygon} == {1, 2}
+    assert all(rec.ms is not None for rec in fresh + replayed if rec.polygon)
+    assert {rec.admissible for rec in fresh} == ({False} if hint else {True, False})
+
+
 # ---------------------------------------------------------------------------
 # polynomial parsing
 
@@ -834,6 +861,39 @@ def test_cli_exit_codes():
     assert cli("np", "x^3", "3").returncode == 2  # bad place: p | d
     assert cli("np", "x^5", "11", "--budget", "10").returncode == 3
     assert cli("crosscheck", "x^2", "3").returncode == 0
+
+
+@pytest.mark.parametrize("p_max", ["20", "1"])
+@pytest.mark.parametrize("hint", ["1,0", "0,1", "-3,1"])
+def test_cli_scan_refuses_a_hint_with_n_at_most_1(capsys, hint, p_max):
+    """A Dickson hint needs n > 1, as is_admissible does; the scan refuses
+    one before any row, so a scan with no rows refuses it too."""
+    assert main(["scan", "x^3", f"--dickson-hint={hint}", "--p-max", p_max]) == 2
+    assert capsys.readouterr() == ("", "error: n must be > 1\n")
+
+
+def test_hinted_scan_rows_test_no_primality(monkeypatch, tmp_path, capsys):
+    """run_scan's primes come from the sieve, so neither its fresh rows nor
+    its cache replays run is_prime, in scan_record or for admissibility;
+    both print the bytes pinned when every row tested primality."""
+    def refuse(p):
+        raise AssertionError(f"is_prime({p}) on a sieved prime")
+
+    # the module, not the function dickson that the package exports under its name
+    dickson_module = importlib.import_module("npscan.dickson")
+    monkeypatch.setattr(dickson_module, "is_prime", refuse)
+    monkeypatch.setattr(scan_module, "is_prime", refuse)
+    cache = tmp_path / "cache.jsonl"
+    argv = ["scan", "x^3", "--p-max", "2000", "--no-timing"]
+    for extra in ([], ["--cache", str(cache)], ["--cache", str(cache)]):  # plain, write, replay
+        assert main(argv + extra) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "486ed0dbbacf77542a1f1cedb3ad57daba3b30300815b72f4717469ee6c78a14"
+        )
+    assert len(cache.read_text().splitlines()) == 302  # the replay computed no row
+    with pytest.raises(AssertionError):  # the patch reaches is_admissible
+        dickson_module.is_admissible(5, F(0), 3)
 
 
 @pytest.mark.parametrize("p_max", ["4611686018427387904", "9223372036854775808"])
