@@ -158,10 +158,10 @@ class PolygonColumns:
     slope_mult_ge2: bool | None
     wide_gap: bool  # gap >= 1/(2d)
     defect: str | None
-    cells: tuple[str, ...] | None  # CSV: vertices, slopes, gap, np_eq_hp, slope_mult_ge2, v0
+    cells: tuple[str, ...]  # CSV: vertices, slopes, gap, np_eq_hp, slope_mult_ge2, v0
 
 
-_NO_POLYGON = PolygonColumns(None, None, None, None, None, False, None, None)
+_NO_POLYGON = PolygonColumns(None, None, None, None, None, False, None, ("",) * 6)
 
 
 # A scan meets few distinct polygons: a shifted monomial at most d - 1.
@@ -424,9 +424,7 @@ def _json_value(v):
 
 def record_to_row(rec: ScanRecord) -> list[str]:
     """[_csv_cell(v) for v in record_values(rec)], with the polygon's cells
-    rendered once per polygon by _polygon_columns."""
-    if rec.polygon is None:  # an error row
-        return [_csv_cell(v) for v in record_values(rec)]
+    rendered once per polygon by _polygon_columns (empty on an error row)."""
     vertices, slopes, gap, np_eq_hp, mult, v0 = rec._columns.cells
     return [str(rec.p), str(rec.c), str(rec.d), vertices, slopes, gap, np_eq_hp,
             str(rec.p_mod_d), _csv_cell(rec.admissible), mult, v0, _csv_cell(rec.ms)]
