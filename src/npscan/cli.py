@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import re
 import sys
@@ -379,8 +380,21 @@ def cmd_zeta(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # The cyclic collector skips what exists before the command (modules,
+    # classes, functions, and numpy's if it is loaded), here and in --jobs
+    # workers forked during it; a caller's own freeze is left as it is.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
+def _run(argv) -> int:
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -21,7 +21,7 @@ import functools
 import math
 
 from ._numpy import np
-from .errors import NotAUnit, NotDivisible, NotPrime, NotRational, PrimeMismatch
+from .errors import NotDivisible, NotPrime, NotRational, PrimeMismatch
 from .fields import is_prime
 
 #: Valuation of zero.
@@ -285,16 +285,6 @@ def pi_valuation(a: CycInt) -> int | float:
         if hits.size:
             return (p - 1) * t + start + int(hits[0])
         start, size = stop, 2 * size
-
-
-def galois_apply(a: CycInt, c: int) -> CycInt:
-    """The automorphism zeta -> zeta^c applied to a; c must be a unit mod p."""
-    p = a.p
-    if math.gcd(c, p) != 1:
-        raise NotAUnit(f"c = {c} is not invertible mod {p}")
-    counts = np.zeros(p, dtype=_dtype(2 * _norm(a.vec)))
-    counts[np.arange(p - 1) * (c % p) % p] = a.vec
-    return CycInt._wrap(p, _fold(counts))
 
 
 def as_rational_integer(a: CycInt) -> int:

@@ -17,8 +17,8 @@ drives the oscillation scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import kernels
 from .errors import InvariantViolation, NotPrime
@@ -95,8 +95,7 @@ def _dickson_permutes(n: int, q: int, a_is_zero: bool) -> bool:
     return math.gcd(n, q - 1 if a_is_zero else q * q - 1) == 1
 
 
-@dataclass(frozen=True)
-class AdmissibleTriple:
+class AdmissibleTriple(NamedTuple):
     """Verdict for (p, a, n): each gate separately, and the conjunction."""
 
     p: int
@@ -145,8 +144,7 @@ def gpp_over_q(n: int, a) -> bool:
 # functional decomposition over Q
 
 
-@dataclass(frozen=True)
-class CompositionChain:
+class CompositionChain(NamedTuple):
     """Indecomposable monic factors whose left-to-right composition is f.
 
     Every factor after the first has zero constant term (right factors are
@@ -233,8 +231,7 @@ def decompose(f) -> CompositionChain:
     return chain
 
 
-@dataclass(frozen=True)
-class DicksonForm:
+class DicksonForm(NamedTuple):
     """u(x) = D_n(x + shift, a) + constant."""
 
     n: int
@@ -264,21 +261,20 @@ def recognize_dickson(u) -> DicksonForm | None:
     return DicksonForm(n, a, nu, beta)
 
 
-@dataclass(frozen=True)
-class DicksonSpec:
+class DicksonSpec(NamedTuple("_DicksonSpec", [("n", int), ("a", Fraction)])):
     """A Dickson factor hint (n, a) for prime scans; n > 1, as in
     is_admissible, so a scan checks its hint once, when it is made."""
 
-    n: int
-    a: Fraction
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if self.n <= 1:
+    def __new__(cls, n: int, a: Fraction):
+        if n <= 1:
             raise ValueError("n must be > 1")
+        return super().__new__(cls, n, a)
 
 
-@dataclass(frozen=True)
-class DicksonFactorisation:
+class DicksonFactorisation(NamedTuple):
     """f = outer o D_n(x, a) o inner, exactly, extracted from a chain."""
 
     form: DicksonForm

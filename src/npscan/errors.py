@@ -47,10 +47,6 @@ class NotDivisible(NpscanError):
     """Exact integer division failed; signals a logic error upstream."""
 
 
-class NotAUnit(NpscanError):
-    """A Galois index c was not invertible mod p."""
-
-
 class NotRational(NpscanError):
     """A cyclotomic integer expected to be rational has nonzero zeta part."""
 

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels, ratpoly
 from ._numpy import np
@@ -57,36 +56,36 @@ from .fields import FieldPolynomial, build_field, check_enum_budget, embed
 from .polygons import ConvexPolygon, lower_hull
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple("_Character", [("p", int), ("c", int)])):
     """The additive character a -> zeta_p^(c a) of F_p; c = 1..p-1."""
 
-    p: int
-    c: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if not 1 <= self.c <= self.p - 1:
-            raise ValueError(f"character index must be in 1..{self.p - 1}, got {self.c}")
+    def __new__(cls, p: int, c: int):
+        if not 1 <= c <= p - 1:
+            raise ValueError(f"character index must be in 1..{p - 1}, got {c}")
+        return super().__new__(cls, p, c)
 
 
-@dataclass(frozen=True)
-class LPolynomial:
+class LPolynomial(NamedTuple("_LPolynomial", [
+    ("p", int), ("h", int), ("degree", int), ("coeffs", tuple[CycInt, ...]),
+])):
     """L(fbar, chi, t) = sum a_k t^k of the given degree, a_k in Z[zeta_p].
 
     coeffs holds a_0 = 1 .. a_degree, or only a_0 .. a_(degree // 2) for
     half of L (l_polynomial(..., half=True)).
     """
 
-    p: int
-    h: int
-    degree: int
-    coeffs: tuple[CycInt, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != CycInt.one(self.p):
+    def __new__(cls, p: int, h: int, degree: int, coeffs: tuple[CycInt, ...]):
+        if not coeffs or coeffs[0] != CycInt.one(p):
             raise ValueError("constant coefficient must be 1")
-        if len(self.coeffs) not in (self.degree + 1, self.degree // 2 + 1):
+        if len(coeffs) not in (degree + 1, degree // 2 + 1):
             raise ValueError("coeffs must run to a_degree or to a_(degree // 2)")
+        return super().__new__(cls, p, h, degree, coeffs)
 
 
 # Different (fbar, m) can push to one polynomial: base change asks for fext

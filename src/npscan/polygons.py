@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -34,18 +33,19 @@ def _integer_form(pts: Sequence[Vertex]) -> tuple[int, list[tuple[int, int]]]:
                  for x, y in pts]
 
 
-@dataclass(frozen=True, eq=False)
 class ConvexPolygon:
     """Vertices of a lower-convex chain starting at (0, 0).  vertices is the
     only field; _den and _pts, the integer form, derive from it.  The form
     is canonical (equal vertices, equal form), so eq and hash read it
-    instead of the Fraction vertices: polygons key the scan's caches."""
+    instead of the Fraction vertices: polygons key the scan's caches.
+    Instances are immutable, and a pickle carries the integer form, so
+    unpickling (--jobs workers hand rows back that way) validates nothing
+    again."""
 
-    vertices: tuple[Vertex, ...]
+    __slots__ = ("vertices", "_den", "_pts", "_hash")
 
-    def __post_init__(self):
-        vs = tuple((_frac(x), _frac(y)) for x, y in self.vertices)
-        object.__setattr__(self, "vertices", vs)
+    def __init__(self, vertices: Iterable[tuple]):
+        vs = tuple((_frac(x), _frac(y)) for x, y in vertices)
         if not vs:
             raise ValueError("a polygon needs at least one vertex")
         den, pts = _integer_form(vs)
@@ -56,9 +56,23 @@ class ConvexPolygon:
             raise ValueError("vertex x-coordinates must strictly increase")
         if any(dy1 * dx0 <= dy0 * dx1 for (dx0, dy0), (dx1, dy1) in zip(steps, steps[1:])):
             raise ValueError("slopes must strictly increase (merge collinear points)")
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_pts", pts)
-        object.__setattr__(self, "_hash", hash((den, *pts)))
+        self.__setstate__((vs, den, pts, hash((den, *pts))))
+
+    def __getstate__(self):
+        return self.vertices, self._den, self._pts, self._hash
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"ConvexPolygon(vertices={self.vertices!r})"
 
     def __eq__(self, other):
         if not isinstance(other, ConvexPolygon):

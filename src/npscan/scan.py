@@ -35,9 +35,8 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from . import ratpoly
 from .dickson import DicksonSpec, _admissibility_gates, find_dickson_factor
@@ -81,8 +80,7 @@ def primes_upto(n: int) -> list[int]:
     return [i for i, c in enumerate(composite) if not c]
 
 
-@dataclass(frozen=True)
-class ScanOptions:
+class ScanOptions(NamedTuple):
     """Dial settings for a prime scan."""
 
     p_max: int = 100
@@ -95,8 +93,7 @@ class ScanOptions:
     timing: bool = True
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """One prime's worth of scan output: what its computation produced.
 
     polygon is None on an error row, and so are the columns read off it
@@ -116,7 +113,7 @@ class ScanRecord:
     def p_mod_d(self) -> int:
         return self.p % self.d
 
-    @functools.cached_property
+    @property
     def _columns(self) -> PolygonColumns:
         return _NO_POLYGON if self.polygon is None else _polygon_columns(self.polygon, self.d)
 
@@ -143,8 +140,7 @@ class ScanRecord:
         return self._columns.slope_mult_ge2
 
 
-@dataclass(frozen=True)
-class PolygonColumns:
+class PolygonColumns(NamedTuple):
     """What a record of degree d reads off its polygon alone.
 
     defect names the first of validate_record's polygon-only checks that
@@ -181,8 +177,7 @@ def _polygon_columns(poly: ConvexPolygon, d: int) -> PolygonColumns:
     return PolygonColumns(gap, np_eq_hp, slopes, v0, mult, gap >= Fraction(1, 2 * d), defect, cells)
 
 
-@dataclass(frozen=True)
-class ScanSummary:
+class ScanSummary(NamedTuple):
     """Counts over all records plus the oscillation verdict."""
 
     f: str
@@ -216,8 +211,7 @@ def _admissible(p: int, hint: DicksonSpec | None) -> bool | None:
     return None if hint is None else all(_admissibility_gates(p, hint.a, hint.n))
 
 
-@dataclass(frozen=True)
-class _ScanPolynomial:
+class _ScanPolynomial(NamedTuple):
     """f with what picks a row's route, settled once for every row of a
     scan.  scan_record takes a prime that comes with one as a good place:
     run_scan's primes come from good_places, which sieved them and ran
@@ -331,8 +325,8 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
                 check_half_l_budget(p, d, opts.budget)
                 # admissible depends on this scan's hint, which the key leaves out;
                 # ms is settled here, so the renderers print what the record holds
-                cached[p] = replace(
-                    rec, admissible=_admissible(p, hint), ms=rec.ms if opts.timing else None
+                cached[p] = rec._replace(
+                    admissible=_admissible(p, hint), ms=rec.ms if opts.timing else None
                 )
 
     # every p is a good place from good_places, so each row skips those checks

@@ -23,18 +23,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galois_action import NotAUnit, galois_apply
 from npscan.cyclotomic import (
     INFINITY,
     INT64_LIMIT,
     CycInt,
     as_rational_integer,
     exact_div_int,
-    galois_apply,
     int_valuation,
     pi_valuation,
     zeta_power,
 )
-from npscan.errors import NotAUnit, NotDivisible, NotPrime, NotRational, PrimeMismatch
+from npscan.errors import NotDivisible, NotPrime, NotRational, PrimeMismatch
 
 
 def naive_mul(a: CycInt, b: CycInt) -> CycInt:

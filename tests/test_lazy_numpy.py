@@ -1,4 +1,5 @@
 """numpy loads on first use: CLI runs that enumerate no field never load it.
+Nor does importing the CLI load dataclasses and the modules it pulls in.
 
 The test modules import numpy early, so an in-process test never sees the
 lazy module; each case here runs in a fresh interpreter.
@@ -85,6 +86,14 @@ def test_enumerating_runs_load_numpy():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e30c9a30399bebc1cf227d3c3b7e1d69ed527cc31d78a312bc7d8de9438d78c5"
     )
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """npscan's records are NamedTuples: dataclasses would pull in inspect,
+    ast, dis and tokenize, about 6 ms, before a command's first row."""
+    res = python("-c", "import sys, npscan.cli;"
+                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (res.returncode, res.stdout) == (0, "[]\n"), res.stderr
 
 
 def test_numpy_imported_after_or_before_npscan_is_one_module():

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from npscan.cyclotomic import CycInt, galois_apply, zeta_power
+from galois_action import galois_apply
+from npscan.cyclotomic import CycInt, zeta_power
 from npscan.errors import (
     BadPlace,
     BudgetExceeded,

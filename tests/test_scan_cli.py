@@ -4,7 +4,7 @@ CLI tests go through subprocess (python -m npscan.cli) so argument parsing,
 exit codes, and stream separation are exercised exactly as a user sees them.
 """
 
-import dataclasses
+import gc
 import hashlib
 import importlib
 import io
@@ -199,18 +199,18 @@ def test_validate_record_violations():
 
     # claim admissibility without the witnesses
     with pytest.raises(InvariantViolation):
-        validate_record(dataclasses.replace(r7, admissible=True))
+        validate_record(r7._replace(admissible=True))
     # p = 7 is 1 mod d, so NP != HP there is a violation
     with pytest.raises(InvariantViolation):
-        validate_record(dataclasses.replace(r7, polygon=r5.polygon))
+        validate_record(r7._replace(polygon=r5.polygon))
     # polygon missing the forced endpoint (d-1, (d-1)/2)
     bad_end = lower_hull([(0, 0), (2, F(5, 4))])
     with pytest.raises(InvariantViolation):
-        validate_record(dataclasses.replace(r5, polygon=bad_end))
+        validate_record(r5._replace(polygon=bad_end))
     # polygon dipping below Hodge
     below = lower_hull([(0, 0), (2, F(1, 2))])
     with pytest.raises(InvariantViolation):
-        validate_record(dataclasses.replace(r5, polygon=below))
+        validate_record(r5._replace(polygon=below))
 
 
 def test_record_json_roundtrip():
@@ -384,11 +384,11 @@ def test_cache_replay_recomputes_admissible(tmp_path):
     """admissible depends on the Dickson hint, which the cache key leaves out."""
     path = str(tmp_path / "cache.jsonl")
     opts = ScanOptions(p_max=30, timing=False, cache_path=path)
-    _, plain = run_scan(X3, dataclasses.replace(opts, auto_hint=False))
+    _, plain = run_scan(X3, opts._replace(auto_hint=False))
     replayed, hinted = run_scan(X3, opts)
     assert plain.n_admissible == 0
     assert hinted.hint == DicksonSpec(3, F(0)) and hinted.n_admissible == 5
-    assert replayed == run_scan(X3, dataclasses.replace(opts, cache_path=None))[0]
+    assert replayed == run_scan(X3, opts._replace(cache_path=None))[0]
 
 
 def test_cache_entry_of_another_prime_is_recomputed(tmp_path, capsys):
@@ -613,10 +613,10 @@ def test_closed_form_rows_are_validated(monkeypatch):
 def _scans(f, p_max, tmp_path):
     """Records of f from a serial scan, --jobs 2, and a cache written then replayed."""
     opts = ScanOptions(p_max=p_max, timing=False)
-    cached = dataclasses.replace(opts, cache_path=str(tmp_path / "cache.jsonl"))
+    cached = opts._replace(cache_path=str(tmp_path / "cache.jsonl"))
     return {
         "serial": run_scan(f, opts)[0],
-        "jobs": run_scan(f, dataclasses.replace(opts, jobs=2))[0],
+        "jobs": run_scan(f, opts._replace(jobs=2))[0],
         "cache-write": run_scan(f, cached)[0],
         "cache-replay": run_scan(f, cached)[0],
     }
@@ -972,6 +972,58 @@ def test_main_called_repeatedly_in_one_process_matches_separate_runs(capsys):
     separate = [(res.returncode, res.stdout) for res in (cli(*argv) for argv in argvs)]
     assert in_process == separate
     assert cli_module._build_parser() is cli_module._build_parser()
+
+
+def test_main_leaves_the_gc_freeze_as_it_found_it(monkeypatch, capsys):
+    """main freezes what exists before the command, so the cyclic collector
+    skips it during the command, and unfreezes it on every way out; a
+    caller's own freeze is left in place."""
+    exact, during = lfunction.exp_sum, []
+
+    def watched(*args, **kwargs):
+        during.append(gc.get_freeze_count())
+        return exact(*args, **kwargs)
+
+    def broken(*args, **kwargs):
+        raise InvariantViolation("patched exp_sum")
+
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects its input this way
+            return f"SystemExit({exc.code})"
+
+    cases = [
+        (["np", "x^3", "7", "--no-timing"], watched, 0),
+        (["np", "x^3+", "7"], exact, 2),  # bad polynomial
+        (["np", "x^3+x", "101", "--budget", "10"], exact, 3),
+        (["np", "x^3", "7", "--no-timing"], broken, 4),  # np rows enumerate F_7
+        (["np", "x^3"], exact, "SystemExit(2)"),
+    ]
+    assert gc.get_freeze_count() == 0
+    for argv, exp_sum, rc in cases:
+        monkeypatch.setattr(lfunction, "exp_sum", exp_sum)
+        assert exit_code(argv) == rc, argv
+        assert gc.get_freeze_count() == 0, argv
+    assert during and all(during)
+
+    sentinel = [[]]
+    sentinel[0].append(sentinel)  # a cycle, tracked by the collector
+    gc.freeze()
+    try:
+        for argv, exp_sum, rc in cases:
+            frozen = gc.get_freeze_count()
+            monkeypatch.setattr(lfunction, "exp_sum", exp_sum)
+            assert exit_code(argv) == rc, argv
+            # frozen objects the command frees (a cache's evicted entries)
+            # leave the count; main adds none and thaws none
+            assert 0 < gc.get_freeze_count() <= frozen, argv
+        # frozen objects are in no generation that gc.get_objects lists
+        assert not any(obj is sentinel for obj in gc.get_objects())
+    finally:
+        gc.unfreeze()
+    assert any(obj is sentinel for obj in gc.get_objects())
+    capsys.readouterr()
 
 
 def test_cli_np_past_int64_bound_exits_3():
