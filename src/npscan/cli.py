@@ -54,7 +54,8 @@ from .lfunction import (
     reduce_mod_p,
 )
 
-_MONOMIAL_RE = re.compile(r"^(\d+)?\*?(x(?:\^(\d+))?)?$")
+# a "*" stands only between a coefficient and x
+_MONOMIAL_RE = re.compile(r"^(?:(\d+)(?:\*(?=x))?)?(x(?:\^(\d+))?)?$")
 _DICKSON_RE = re.compile(r"^dickson\((\d+),(-?\d+(?:/\d+)?)\)$")
 
 
@@ -121,41 +122,39 @@ def _add_record_options(parser: argparse.ArgumentParser) -> None:
                         help="blank the ms column for reproducible output")
 
 
-@functools.cache  # built on the first main call, then reused by every later one
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="npscan", description=__doc__.split("\n")[0])
-    sub = top.add_subparsers(dest="command", required=True)
+def _add_np(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("poly")
+    parser.add_argument("p", type=int)
+    _add_record_options(parser)
+    parser.set_defaults(func=cmd_np)
 
-    p_np = sub.add_parser("np", help="Newton polygon at one prime")
-    p_np.add_argument("poly")
-    p_np.add_argument("p", type=int)
-    _add_record_options(p_np)
-    p_np.set_defaults(func=cmd_np)
 
-    p_scan = sub.add_parser("scan", help="scan primes up to a bound")
-    p_scan.add_argument("poly")
-    p_scan.add_argument("--p-max", type=int, default=100)
-    p_scan.add_argument("--dickson-hint", metavar="N,A", default=None,
+def _add_scan(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("poly")
+    parser.add_argument("--p-max", type=int, default=100)
+    parser.add_argument("--dickson-hint", metavar="N,A", default=None,
                         help="treat (n, a) as the scan's Dickson factor")
-    p_scan.add_argument("--no-auto-hint", action="store_true",
+    parser.add_argument("--no-auto-hint", action="store_true",
                         help="do not search f for a Dickson factor")
-    _add_record_options(p_scan)
-    p_scan.add_argument("--jobs", type=int, default=1,
+    _add_record_options(parser)
+    parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for scans")
-    p_scan.add_argument("--cache", metavar="PATH", default=None,
+    parser.add_argument("--cache", metavar="PATH", default=None,
                         help="JSON-lines record cache (appended to)")
-    p_scan.set_defaults(func=cmd_scan)
+    parser.set_defaults(func=cmd_scan)
 
-    p_cc = sub.add_parser("crosscheck", help="consistency battery at one prime")
-    p_cc.add_argument("poly")
-    p_cc.add_argument("p", type=int)
-    p_cc.add_argument("--base-change", type=int, default=2, metavar="N",
-                      help="extension degree for the base-change check")
-    _add_budget(p_cc)
-    p_cc.set_defaults(func=cmd_crosscheck)
 
-    p_dk = sub.add_parser("dickson", help="Dickson polynomial utilities")
-    dk_sub = p_dk.add_subparsers(dest="action", required=True)
+def _add_crosscheck(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("poly")
+    parser.add_argument("p", type=int)
+    parser.add_argument("--base-change", type=int, default=2, metavar="N",
+                        help="extension degree for the base-change check")
+    _add_budget(parser)
+    parser.set_defaults(func=cmd_crosscheck)
+
+
+def _add_dickson(parser: argparse.ArgumentParser) -> None:
+    dk_sub = parser.add_subparsers(dest="action", required=True)
     g = dk_sub.add_parser("generate")
     g.add_argument("n", type=int)
     g.add_argument("a")
@@ -172,18 +171,58 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also enumerate the field to confirm")
     pc.set_defaults(func=cmd_dickson_perm)
 
-    p_dec = sub.add_parser("decompose", help="functional decomposition over Q")
-    p_dec.add_argument("poly")
-    p_dec.set_defaults(func=cmd_decompose)
 
-    p_z = sub.add_parser("zeta", help="curve zeta numerator P_1")
-    p_z.add_argument("poly")
-    p_z.add_argument("p", type=int)
-    p_z.add_argument("-e", type=int, default=1)
-    _add_budget(p_z)
-    p_z.set_defaults(func=cmd_zeta)
+def _add_decompose(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("poly")
+    parser.set_defaults(func=cmd_decompose)
 
+
+def _add_zeta(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("poly")
+    parser.add_argument("p", type=int)
+    parser.add_argument("-e", type=int, default=1)
+    _add_budget(parser)
+    parser.set_defaults(func=cmd_zeta)
+
+
+# name -> (help, adds the command's arguments); the full tree and each
+# command's own parser are built from it, so each option is declared once
+_COMMANDS = {
+    "np": ("Newton polygon at one prime", _add_np),
+    "scan": ("scan primes up to a bound", _add_scan),
+    "crosscheck": ("consistency battery at one prime", _add_crosscheck),
+    "dickson": ("Dickson polynomial utilities", _add_dickson),
+    "decompose": ("functional decomposition over Q", _add_decompose),
+    "zeta": ("curve zeta numerator P_1", _add_zeta),
+}
+
+
+@functools.cache  # built for top-level help and errors only, then reused
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="npscan", description=__doc__.split("\n")[0])
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, add) in _COMMANDS.items():
+        add(sub.add_parser(name, help=help_text))
     return top
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command name's parser as _build_parser builds it, without the rest."""
+    parser = argparse.ArgumentParser(prog=f"npscan {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_build_parser().parse_args(argv), building only the parser of the
+    command argv names unless the full tree has to report on argv."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)  # exits with the top-level message
 
 
 def cmd_np(args) -> int:
@@ -394,7 +433,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except BudgetExceeded as exc:

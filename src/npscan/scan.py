@@ -272,8 +272,9 @@ def scan_record(
     return ScanRecord(p, c_eff, d, poly, admissible, ms)
 
 
-def validate_record(rec: ScanRecord) -> None:
+def validate_record(rec: ScanRecord) -> PolygonColumns:
     """Hard, theorem-backed assertions; a failure is a build-failing event.
+    Returns rec._columns, so a caller reads them once.
 
     A fresh row's polygon comes from half of L or from the closed form, so
     its endpoint and its half past K = (d-1) // 2 hold by construction;
@@ -285,9 +286,9 @@ def validate_record(rec: ScanRecord) -> None:
     (_polygon_columns); every row still asserts them, and those that read
     p or the hint.
     """
-    if rec.error is not None or rec.polygon is None:
-        return
     cols = rec._columns
+    if rec.error is not None or rec.polygon is None:
+        return cols
     if cols.defect is not None:
         raise InvariantViolation(f"p = {rec.p}: {cols.defect}")
     if rec.p_mod_d == 1 and not cols.np_eq_hp:
@@ -296,6 +297,7 @@ def validate_record(rec: ScanRecord) -> None:
         raise InvariantViolation(
             f"p = {rec.p} is admissible but lacks the repeated slope or the 1/(2d) gap"
         )
+    return cols
 
 
 def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
@@ -342,18 +344,23 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(opts.jobs, len(todo))))
             stack.callback(pool.shutdown, cancel_futures=True)  # start no more on a raise
             fresh = pool.map(compute, todo)
-        # each row is validated and cached as it comes out, so the rows
-        # before a prime that raises stay in the cache
+        # each row is validated, counted and cached as it comes out, so the
+        # rows before a prime that raises stay in the cache
+        n_np = n_gaps = n_admissible = n_mult = n_errors = 0
+        backed = False  # a gap where the paper proves it recurs
         for p in primes:
             rec = cached[p] if p in cached else next(fresh)
-            validate_record(rec)
+            cols = validate_record(rec)
             if opts.cache_path is not None and rec.error is None and p not in cached:
                 cache_put(opts.cache_path, cache_key(fq, p, opts.char), rec)
             ordered.append(rec)
+            n_np += cols.np_eq_hp is True
+            n_gaps += cols.wide_gap  # gap >= 1/(2d)
+            backed = backed or (cols.wide_gap and rec.admissible is True)
+            n_admissible += rec.admissible is True
+            n_mult += cols.slope_mult_ge2 is True
+            n_errors += rec.error is not None
 
-    n_np = sum(1 for r in ordered if r.np_eq_hp)
-    gaps = [r for r in ordered if r._columns.wide_gap]  # gap >= 1/(2d)
-    backed = any(r.admissible for r in gaps)  # where the paper proves the gap recurs
     verdict = VERDICT_OSCILLATES if (n_np and backed) else VERDICT_NO_WITNESS
     summary = ScanSummary(
         f=ratpoly.format_poly(fq),
@@ -362,10 +369,10 @@ def run_scan(f, opts: ScanOptions) -> tuple[list[ScanRecord], ScanSummary]:
         hint=hint,
         n_rows=len(ordered),
         n_np_eq_hp=n_np,
-        n_gap_witness=len(gaps),
-        n_admissible=sum(1 for r in ordered if r.admissible),
-        n_slope_mult_ge2=sum(1 for r in ordered if r.slope_mult_ge2),
-        n_errors=sum(1 for r in ordered if r.error is not None),
+        n_gap_witness=n_gaps,
+        n_admissible=n_admissible,
+        n_slope_mult_ge2=n_mult,
+        n_errors=n_errors,
         verdict=verdict,
     )
     return ordered, summary

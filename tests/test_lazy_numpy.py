@@ -1,4 +1,5 @@
-"""numpy loads on first use: CLI runs that enumerate no field never load it.
+"""numpy loads on first use: CLI runs that enumerate no field never load it,
+nor do help and usage errors.
 Nor does importing the CLI load dataclasses and the modules it pulls in.
 
 The test modules import numpy early, so an in-process test never sees the
@@ -20,13 +21,17 @@ import npscan
 PKG_ROOT = str(pathlib.Path(npscan.__file__).resolve().parents[1])
 
 # Runs cli.main on the argv in sys.argv[1] after the statements in
-# sys.argv[2], then writes the numpy submodules loaded to stderr's last line
-# (an unloaded lazy numpy is in sys.modules, but none of its submodules).
+# sys.argv[2], then writes its exit code and the numpy submodules loaded to
+# stderr's last line (an unloaded lazy numpy is in sys.modules, but none of
+# its submodules).  argparse exits on help and usage errors.
 RUN_CLI = """
 import json, sys
 exec(sys.argv[2])
 from npscan.cli import main
-rc = main(json.loads(sys.argv[1]))
+try:
+    rc = main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    rc = exc.code
 sys.stdout.flush()
 loaded = sorted(k for k in sys.modules if k.startswith("numpy."))
 sys.stderr.write("\\n" + json.dumps([rc, loaded]) + "\\n")
@@ -44,12 +49,12 @@ def python(*args):
     )
 
 
-def run_cli(argv, first=""):
+def run_cli(argv, first="", exit_code=0):
     """(stdout, the numpy submodules loaded) of cli.main(argv) in a fresh
     interpreter that runs first before it imports npscan.cli."""
     res = python("-c", RUN_CLI, json.dumps(argv), first)
     rc, loaded = json.loads(res.stderr.splitlines()[-1])
-    assert (res.returncode, rc) == (0, 0), res.stderr
+    assert (res.returncode, rc) == (0, exit_code), res.stderr
     return res.stdout, loaded
 
 
@@ -66,6 +71,15 @@ def test_runs_without_enumeration_load_no_numpy(argv):
     out, loaded = run_cli(argv)
     assert out and not loaded
     assert run_cli(argv, "import numpy")[0] == out
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [(["-h"], 0), (["scan", "-h"], 0), (["scan", "x^3", "--bogus"], 2)],
+    ids=["help", "scan-help", "unrecognized-argument"],
+)
+def test_help_and_usage_errors_load_no_numpy(argv, exit_code):
+    assert run_cli(argv, exit_code=exit_code)[1] == []
 
 
 def test_cache_replay_loads_no_numpy(tmp_path):

@@ -699,12 +699,28 @@ def test_parse_poly_forms():
     assert parse_poly("dickson(3,0) + x^2") == (F(0), F(0), F(1), F(1))
     assert parse_poly("1/2, 1") == (F(1, 2), F(1))
     assert parse_poly("x") == ratpoly.X
+    assert parse_poly("2*x") == parse_poly("2x") == (F(0), F(2))
+    assert parse_poly("3") == (F(3),)
+
+
+@pytest.mark.parametrize("text", ["x^3+2*", "x^3+*x", "*x", "2*x^2*"])
+def test_parse_poly_rejects_a_dangling_star(text):
+    """A "*" stands only between a coefficient and x."""
+    with pytest.raises(ValueError, match="cannot parse term"):
+        parse_poly(text)
+
+
+def test_cli_rejects_a_dangling_star(capsys):
+    for text in ("x^3+2*", "x^3+*x"):
+        assert main(["np", text, "7"]) == 2
+        assert "cannot parse term" in capsys.readouterr().err
 
 
 def test_parse_poly_rejects_garbage():
     for bad in (
         "x^3 +", "x^3 + + x", "", "x^^2", "x^3 y",
         "-x+", "dickson(5,1", "dickson(5,1+2)", ")x(", "x^3 - - x",
+        "2*",  # no x: read as a coefficient list, which it is not
     ):
         with pytest.raises(ValueError):
             parse_poly(bad)
@@ -972,6 +988,70 @@ def test_main_called_repeatedly_in_one_process_matches_separate_runs(capsys):
     separate = [(res.returncode, res.stdout) for res in (cli(*argv) for argv in argvs)]
     assert in_process == separate
     assert cli_module._build_parser() is cli_module._build_parser()
+    assert cli_module._command_parser("np") is cli_module._command_parser("np")
+
+
+# every command's -h and each kind of usage error: missing, bad-int and
+# bad-choice arguments, unknown options and stray positionals after a
+# command, dickson without or with an unknown action, "--" before or after
+# the command, and top-level help or an unknown command
+_USAGE_ARGVS = [
+    [], ["-h"], ["bogus"], ["--", "scan", "x^3"],
+    *([name, "-h"] for name in cli_module._COMMANDS),
+    ["dickson", "generate", "-h"], ["dickson", "recognize", "-h"], ["dickson", "perm-check", "-h"],
+    ["np"], ["np", "x^3", "seven"], ["np", "x^3", "7", "--format", "xml"],
+    ["scan", "x^3", "--p-max"], ["scan", "x^3", "--p-max=ten"], ["scan", "x^3", "--bogus"],
+    ["scan", "x^3", "extra", "--p-max", "3"], ["scan", "x^3", "--no-tim", "-h"],
+    ["np", "x^3", "7", "--bogus", "--format", "xml"], ["crosscheck", "--", "-1,0,1", "7", "--bogus"],
+    ["crosscheck", "-1,0,1", "7"], ["dickson"], ["dickson", "frob"],
+    ["dickson", "generate", "5", "1", "9"], ["dickson", "--bogus", "generate", "5", "1"],
+    ["dickson", "perm-check", "5", "1", "7", "-e", "x"], ["decompose", "x^4", "x"], ["zeta", "-e", "2"],
+]
+
+
+def _exit_and_output(capsys, call, argv):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGVS, ids=" ".join)
+def test_main_prints_the_full_parsers_help_and_usage_errors(argv, capsys):
+    """main builds only the named command's parser, and the full tree for
+    top-level help and errors; either way it prints what the full tree does."""
+    expected = _exit_and_output(capsys, cli_module._build_parser().parse_args, argv)
+    assert _exit_and_output(capsys, main, argv) == expected
+    assert expected[0] in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["np", "x^3", "7", "--format", "json", "--char", "2", "--no-tim"],
+    ["scan", "x^3", "--p-max=50", "--dickson-hint", "3,0", "--jobs", "2", "--cache", "c.jsonl"],
+    ["crosscheck", "--base-change", "3", "--", "-1,0,1", "7"],
+    ["dickson", "generate", "5", "1"], ["dickson", "recognize", "x^5"],
+    ["dickson", "perm-check", "5", "1", "7", "-e", "2", "--brute"],
+    ["decompose", "x^4"], ["zeta", "x^3", "5", "-e", "2", "--budget", "9"],
+], ids=" ".join)
+def test_command_parser_gives_the_full_parsers_namespace(argv):
+    assert vars(cli_module._parse(argv)) == vars(cli_module._build_parser().parse_args(argv))
+
+
+def test_commands_run_without_the_full_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli_module, "_build_parser", refuse)
+    for argv in (
+        ["np", "x^3", "7", "--no-timing"],
+        ["scan", "x^3", "--p-max", "20", "--no-timing"],
+        ["crosscheck", "x^3", "5"],
+        ["dickson", "generate", "5", "1"],
+        ["zeta", "x^2", "3"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_main_leaves_the_gc_freeze_as_it_found_it(monkeypatch, capsys):
